@@ -4,7 +4,7 @@ use crate::memsys::{HierarchyConfig, MemStats, MemorySystem};
 use crate::scheme::Scheme;
 use gm_isa::Program;
 use gm_mem::CacheConfig;
-use gm_sim::{Core, CoreConfig, CoreStats, IssueMode, MemoryBackend, TraceSink};
+use gm_sim::{Core, CoreConfig, CoreStats, MemoryBackend, TraceSink};
 use gm_stats::Json;
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -372,16 +372,6 @@ impl Machine {
         self.mem.auditor.as_ref()
     }
 
-    /// Selects the issue-stage implementation on every core.
-    /// [`IssueMode::Event`] (wakeup lists) is the default;
-    /// [`IssueMode::Scan`] is the linear-scan oracle the equivalence
-    /// tests compare against. Call before the first tick.
-    pub fn set_issue_mode(&mut self, mode: IssueMode) {
-        for core in &mut self.cores {
-            core.set_issue_mode(mode);
-        }
-    }
-
     /// Installs one trace sink shared by every core: each core gets a
     /// clone of the same `Rc` handle, so a multicore machine streams
     /// all cores' lifecycle events into a single observer (events
@@ -404,14 +394,6 @@ impl Machine {
         &self.mem
     }
 
-    /// Advances the whole machine one cycle.
-    pub fn tick(&mut self) {
-        for core in &mut self.cores {
-            core.tick(&mut self.mem, self.cycle);
-        }
-        self.cycle += 1;
-    }
-
     /// Whether every core has halted.
     pub fn halted(&self) -> bool {
         self.cores.iter().all(|c| c.halted())
@@ -432,12 +414,12 @@ impl Machine {
     /// leapfrog cancellation (§4.5): when any are queued after a cycle,
     /// the affected sleeping cores are re-scheduled for the very next
     /// cycle (and a core later in index order is caught the same cycle),
-    /// which is precisely when the per-cycle engine's quiescence memo
-    /// would have noticed the cancellation. The memory system is
+    /// which is precisely the cycle at which a core ticked every cycle
+    /// would first drain the cancellation. The memory system is
     /// otherwise purely reactive (every latency is computed when a
     /// request arrives), so a cycle in which no core acts cannot change
     /// backend state either — results are bit-identical to
-    /// [`Machine::run_lockstep`].
+    /// [`Machine::run_reference`].
     ///
     /// # Panics
     ///
@@ -494,20 +476,20 @@ impl Machine {
                 if now > *last + 1 {
                     self.cores[i].account_idle_cycles(now - *last - 1);
                 }
-                let outcome = self.cores[i].tick(&mut self.mem, now);
+                let wake = self.cores[i].tick(&mut self.mem, now);
                 *last = now;
                 if self.cores[i].halted() {
                     live -= 1;
                     sched.halt(i);
                 } else {
-                    sched.set(i, outcome.next_wake.max(next), next);
+                    sched.set(i, wake.max(next), next);
                 }
             }
             if self.mem.any_cancellations_pending() {
                 // Push channel: a cancellation queued this cycle for a
                 // core at or before its issuer's index is seen at the
-                // next cycle — the same moment the per-cycle engine's
-                // memo check would see it.
+                // next cycle — the same moment a core ticked every
+                // cycle would drain it.
                 for i in 0..n {
                     if !self.cores[i].halted() && self.mem.cancellations_pending(i) {
                         sched.pull_to_next(i, next);
@@ -524,27 +506,22 @@ impl Machine {
         self.result()
     }
 
-    /// Disables the busy-path stage gating on every core, so each tick
-    /// dispatches every stage body unconditionally. The equivalence
-    /// tests use this to pit a gated run against an ungated oracle.
-    /// Call before the first tick.
-    pub fn disable_stage_gating(&mut self) {
+    /// The reference oracle for [`Machine::run`]: ticks every core on
+    /// every cycle, and every core runs every stage body each tick and
+    /// issues by scanning its whole IQ (see [`Core::set_reference`]).
+    /// It skips no cycles, gates no stages and never selects from the
+    /// wakeup-driven ready set, so agreement with it in every result
+    /// field pins all three shortcuts of the production loop.
+    /// Slow; for tests only.
+    pub fn run_reference(&mut self, max_cycles: u64) -> MachineResult {
         for core in &mut self.cores {
-            core.disable_stage_gating();
-        }
-    }
-
-    /// Reference run loop ticking every core on every cycle, kept as the
-    /// oracle for the cycle-skipping equivalence tests. Disables the
-    /// cores' quiescent-tick memo and their stage gating so the oracle
-    /// re-runs every stage on every cycle.
-    pub fn run_lockstep(&mut self, max_cycles: u64) -> MachineResult {
-        for core in &mut self.cores {
-            core.disable_tick_memo();
-            core.disable_stage_gating();
+            core.set_reference();
         }
         while !self.halted() && self.cycle < max_cycles {
-            self.tick();
+            for core in &mut self.cores {
+                core.tick(&mut self.mem, self.cycle);
+            }
+            self.cycle += 1;
         }
         assert!(
             self.halted(),

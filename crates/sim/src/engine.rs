@@ -86,45 +86,6 @@ macro_rules! gated_stage {
     };
 }
 
-/// Which issue-stage implementation a core runs.
-///
-/// Both are bit-identical; the linear scan is kept as the oracle the
-/// wakeup-equivalence tests compare against (the same role
-/// [`Core::run_lockstep`] plays for cycle skipping).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum IssueMode {
-    /// Event-driven: writeback wakes the IQ slots waiting on the
-    /// produced register, and issue selects (oldest-first) from a
-    /// maintained ready set — O(instructions woken + issued).
-    #[default]
-    Event,
-    /// Reference: scan the whole IQ every cycle re-checking every
-    /// entry's source ready bits — O(IQ occupancy).
-    Scan,
-}
-
-/// What one [`Core::tick`] did, for the cycle-skipping run loops.
-///
-/// A tick makes *progress* when it changes any observable state: pops a
-/// writeback event, commits, issues, touches the memory backend, renames,
-/// or fetches. A tick with no progress is *quiescent*; re-ticking a
-/// quiescent core before `next_wake` is guaranteed to be quiescent again
-/// with identical per-cycle stall counters, so the run loop may jump
-/// `now` straight to `next_wake` after calling
-/// [`Core::account_idle_cycles`] for the elided cycles. This is what
-/// makes the skipping engine bit-identical to the per-cycle engine
-/// (cycle counts, every statistic, every memory-system interaction).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TickOutcome {
-    /// Whether any state changed this cycle.
-    pub progress: bool,
-    /// Earliest cycle at which state *can* change again. `now + 1` after
-    /// a progress tick; `u64::MAX` once halted. Always bounded by the
-    /// deadlock deadline, so a stuck core still panics at the same cycle
-    /// the per-cycle engine would.
-    pub next_wake: u64,
-}
-
 /// Aggregate per-core statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CoreStats {
@@ -192,9 +153,10 @@ pub struct Core {
     last_commit_cycle: u64,
     last_committed_iline: u64,
     stats: CoreStats,
-    /// Which issue-stage implementation to run (Event in production;
-    /// Scan is the equivalence-test oracle).
-    issue_mode: IssueMode,
+    /// Whether this core is the reference oracle (see
+    /// [`Core::set_reference`]): every stage body runs every tick, and
+    /// issue scans the whole IQ instead of the wakeup-driven ready set.
+    reference: bool,
     /// Per-physical-register lists of IQ entries waiting on that value.
     wakeup: WakeupTable,
     /// Seqs of IQ entries whose sources are all ready, sorted (so issue
@@ -216,20 +178,8 @@ pub struct Core {
     /// every `Ready` transition (AGU, send, forward, cancel-replay) and
     /// recounted after a squash.
     lq_ready: usize,
-    /// Whether the current tick changed state (see [`TickOutcome`]).
+    /// Whether the current tick changed state (see [`Core::tick`]).
     tick_progress: bool,
-    /// After a quiescent tick: the cycle it reported as `next_wake`.
-    /// Until then, re-ticking is guaranteed to be quiescent with
-    /// identical per-cycle stall counters (see [`TickOutcome`]), so —
-    /// unless the backend has a cancellation waiting, the one channel
-    /// that can change this core's state from outside — `tick` replays
-    /// the stall counters and returns the cached outcome without
-    /// re-running the stages.
-    quiet_until: u64,
-    /// Whether the quiescence memo above may be used. Disabled by the
-    /// lockstep reference loops so the oracle really re-runs every
-    /// stage every cycle.
-    tick_memo: bool,
     /// Strictness-blocked non-pipelined ops counted this tick.
     idle_strict_fu_delays: u64,
     /// Seqs of STT-parked loads (see [`LoadEntry::parked`]), sorted
@@ -238,10 +188,6 @@ pub struct Core {
     /// parked loads are always a prefix, so the unpark check is O(1) per
     /// stage run until something actually unparks.
     parked_seqs: Vec<u64>,
-    /// Whether the busy path dispatches only stages whose pending-work
-    /// predicate holds (see [`Core::tick`]). Disabled by the lockstep
-    /// oracles so every stage body really runs every cycle.
-    stage_gating: bool,
     /// Earliest future `retry_at` among [`LoadState::Ready`] loads —
     /// `u64::MAX` when none is backing off. Never later than the true
     /// minimum (a too-early wake only re-runs a quiescent tick; a
@@ -299,7 +245,7 @@ impl Core {
             last_commit_cycle: 0,
             last_committed_iline: u64::MAX,
             stats: CoreStats::default(),
-            issue_mode: IssueMode::Event,
+            reference: false,
             wakeup: WakeupTable::new(cfg.int_regs + cfg.fp_regs),
             ready_seqs: Vec::with_capacity(cfg.iq_entries),
             nonpipe_seqs: Vec::with_capacity(cfg.iq_entries),
@@ -308,11 +254,8 @@ impl Core {
             scratch_issued: Vec::with_capacity(cfg.issue_width),
             lq_ready: 0,
             tick_progress: false,
-            quiet_until: 0,
-            tick_memo: true,
             idle_strict_fu_delays: 0,
             parked_seqs: Vec::new(),
-            stage_gating: true,
             lq_retry_min: u64::MAX,
             trace: None,
             cfg,
@@ -344,11 +287,14 @@ impl Core {
         &self.stats
     }
 
-    /// Selects the issue-stage implementation. [`IssueMode::Event`] is
-    /// the default; [`IssueMode::Scan`] is the linear-scan oracle the
-    /// equivalence tests run against. Call before the first tick.
-    pub fn set_issue_mode(&mut self, mode: IssueMode) {
-        self.issue_mode = mode;
+    /// Turns this core into the reference oracle: every tick runs every
+    /// stage body (no stage gating) and issue re-scans the whole IQ
+    /// instead of selecting from the wakeup-driven ready set. Ticked
+    /// every cycle by `Machine::run_reference`, it has no shortcut at
+    /// all, so the production path is checked against it for
+    /// bit-identity. Call before the first tick.
+    pub fn set_reference(&mut self) {
+        self.reference = true;
     }
 
     /// Installs a trace sink observing this core's per-instruction
@@ -430,21 +376,13 @@ impl Core {
     }
 
     /// Whether the issue stage can have any observable effect this
-    /// cycle. In event mode that is the maintained ready set (plus,
-    /// under §4.9 strict ordering, waiting non-pipelined entries, whose
-    /// mere presence counts delay statistics) — the same condition
-    /// [`Core::issue_event`] early-returns on. The scan oracle visits
-    /// every IQ entry by definition, so it is gated only on IQ
-    /// occupancy.
+    /// cycle: the maintained ready set is non-empty, or (under §4.9
+    /// strict ordering) non-pipelined entries are waiting, whose mere
+    /// presence counts delay statistics — the same condition
+    /// [`Core::issue_event`] early-returns on.
     #[inline]
     fn issue_pending(&self) -> bool {
-        match self.issue_mode {
-            IssueMode::Event => {
-                !self.ready_seqs.is_empty()
-                    || (self.cfg.strict_fu_order && !self.nonpipe_seqs.is_empty())
-            }
-            IssueMode::Scan => !self.iq.is_empty(),
-        }
+        !self.ready_seqs.is_empty() || (self.cfg.strict_fu_order && !self.nonpipe_seqs.is_empty())
     }
 
     /// Whether the LSQ stage has candidates: a `Ready` unparked load
@@ -475,8 +413,22 @@ impl Core {
         self.fetch_stall_until <= now && self.fetch_queue.len() < self.cfg.fetch_buffer
     }
 
-    /// Advances one cycle against `mem`, reporting whether the cycle
-    /// changed state and when the next one can.
+    /// Advances one cycle against `mem`, returning the earliest cycle at
+    /// which this core's state can change again.
+    ///
+    /// A tick makes *progress* when it changes any observable state:
+    /// pops a writeback event, commits, issues, touches the memory
+    /// backend, renames, or fetches. A progress tick returns `now + 1`.
+    /// A tick with no progress is *quiescent* and returns
+    /// `Core::next_wake`: ticking again before then would be quiescent
+    /// too, with identical per-cycle stall counters, so a run loop may
+    /// jump straight to that cycle after calling
+    /// [`Core::account_idle_cycles`] for the elided ones — unless the
+    /// backend queues a cancellation for this core meanwhile, the one
+    /// channel that changes a core's state from outside. A halted core
+    /// returns `u64::MAX`. The result is always bounded by the deadlock
+    /// deadline, so a stuck core still panics at the same cycle the
+    /// reference loop would.
     ///
     /// The busy path is *stage-gated*: each stage has a cheap
     /// pending-work predicate maintained by the structures it reads
@@ -484,50 +436,35 @@ impl Core {
     /// whose predicate holds are dispatched. Every predicate is exactly
     /// the stage body's own entry condition — a skipped stage would
     /// have returned without touching state — so gating is
-    /// bit-identical to running everything (asserted against
-    /// [`Core::disable_stage_gating`]d oracles by
+    /// bit-identical to running every stage, which a
+    /// [`Core::set_reference`] core does (asserted by
     /// `tests/cycle_skipping.rs`). `Core::next_wake` is built from
     /// the same predicates, so gating and wake computation share one
     /// source of truth.
-    pub fn tick(&mut self, mem: &mut dyn MemoryBackend, now: u64) -> TickOutcome {
+    pub fn tick(&mut self, mem: &mut dyn MemoryBackend, now: u64) -> u64 {
         if self.halted {
-            return TickOutcome {
-                progress: false,
-                next_wake: u64::MAX,
-            };
+            return u64::MAX;
         }
-        if self.tick_memo && now < self.quiet_until && !mem.cancellations_pending(self.id) {
-            // Still inside a known-quiescent stretch: replay one cycle's
-            // stall counters (exactly what re-running the stages would
-            // count) and return the cached outcome.
-            self.stats.cycles = now + 1;
-            self.stats.strict_fu_delays += self.idle_strict_fu_delays;
-            return TickOutcome {
-                progress: false,
-                next_wake: self.quiet_until,
-            };
-        }
-        self.quiet_until = 0;
         self.tick_progress = false;
         self.idle_strict_fu_delays = 0;
         self.stats.cycles = now + 1;
         self.fu.new_cycle();
         self.drain_cancellations(mem, now);
-        let gate = self.stage_gating;
-        gated_stage!(Writeback, !gate || self.writeback_pending(now), {
+        let ungated = self.reference;
+        gated_stage!(Writeback, ungated || self.writeback_pending(now), {
             self.writeback(mem, now)
         });
-        gated_stage!(Commit, !gate || self.commit_pending(now), {
+        gated_stage!(Commit, ungated || self.commit_pending(now), {
             self.commit(mem, now)
         });
-        gated_stage!(Issue, !gate || self.issue_pending(), { self.issue(now) });
-        gated_stage!(Lsq, !gate || self.lsq_pending(), {
+        gated_stage!(Issue, ungated || self.issue_pending(), { self.issue(now) });
+        gated_stage!(Lsq, ungated || self.lsq_pending(), {
             self.lsq_tick(mem, now)
         });
-        gated_stage!(Rename, !gate || self.rename_pending(now), {
+        gated_stage!(Rename, ungated || self.rename_pending(now), {
             self.rename(now)
         });
-        gated_stage!(Fetch, !gate || self.fetch_pending(now), {
+        gated_stage!(Fetch, ungated || self.fetch_pending(now), {
             self.fetch(mem, now)
         });
         if now.saturating_sub(self.last_commit_cycle) > DEADLOCK_CYCLES {
@@ -539,16 +476,10 @@ impl Core {
                 self.rob.head().map(|e| (e.seq, e.pc, e.inst, e.status))
             );
         }
-        let next_wake = if self.tick_progress {
+        if self.tick_progress {
             now + 1
         } else {
-            let wake = self.next_wake(now);
-            self.quiet_until = wake;
-            wake
-        };
-        TickOutcome {
-            progress: self.tick_progress,
-            next_wake,
+            self.next_wake(now)
         }
     }
 
@@ -557,12 +488,16 @@ impl Core {
     /// stage gates in [`Core::tick`] test: the writeback event heap,
     /// fetch/commit stalls, a done-but-future ROB head (the same cached
     /// timestamp [`Core::commit_pending`] reads), the frontend delay of
-    /// the next rename candidate, the maintained minimum load-retry
-    /// backoff (O(1), no queue scan), and the non-pipelined FU busy
-    /// times. The deadlock deadline bounds the result so a wedged core
-    /// still panics exactly where the per-cycle engine does.
+    /// the next rename candidate, and the maintained minimum load-retry
+    /// backoff (O(1), no queue scan). The deadlock deadline bounds the
+    /// result so a wedged core still panics exactly where the per-cycle
+    /// engine does.
     fn next_wake(&self, now: u64) -> u64 {
         let mut wake = self.last_commit_cycle + DEADLOCK_CYCLES + 1;
+        // The event heap also covers every non-pipelined FU release:
+        // `FuPool::issue` holds a divider until `now + latency`, the
+        // cycle its op's `EV_EXEC` event is due, and events are only
+        // ever popped when due, never dropped early.
         if let Some(&Reverse((t, _, _, _))) = self.events.peek() {
             wake = wake.min(t);
         }
@@ -589,12 +524,6 @@ impl Core {
         if self.lq_ready > 0 && self.lq_retry_min > now {
             wake = wake.min(self.lq_retry_min);
         }
-        if !self.iq.is_empty() {
-            let free = self.fu.muldiv_next_free();
-            if free > now {
-                wake = wake.min(free);
-            }
-        }
         wake.max(now + 1)
     }
 
@@ -607,59 +536,22 @@ impl Core {
         self.stats.strict_fu_delays += self.idle_strict_fu_delays * cycles;
     }
 
-    /// Runs until halt or `max_cycles`, returning the final cycle count.
+    /// Runs this core alone until halt or `max_cycles`, returning the
+    /// final cycle count.
     ///
-    /// Quiescent stretches (all stages stalled on memory or long-latency
-    /// units) are skipped in one jump; results are bit-identical to
-    /// [`Core::run_lockstep`].
+    /// After each quiescent tick the clock jumps straight to the core's
+    /// next wake (see [`Core::tick`]), so a stretch stalled on memory or
+    /// a long-latency unit costs one tick.
     pub fn run(&mut self, mem: &mut dyn MemoryBackend, max_cycles: u64) -> u64 {
         self.install_program_data(mem);
         let mut now = 0;
         while !self.halted && now < max_cycles {
-            let outcome = self.tick(mem, now);
+            let wake = self.tick(mem, now).min(max_cycles);
             now += 1;
-            if !outcome.progress && outcome.next_wake > now {
-                let target = outcome.next_wake.min(max_cycles);
-                if target > now {
-                    self.account_idle_cycles(target - now);
-                    now = target;
-                }
+            if wake > now {
+                self.account_idle_cycles(wake - now);
+                now = wake;
             }
-        }
-        assert!(
-            self.halted,
-            "program did not halt within {max_cycles} cycles"
-        );
-        now
-    }
-
-    /// Disables the quiescent-tick memo so every `tick` really re-runs
-    /// the pipeline stages. The lockstep oracles use this to stay an
-    /// independent reference for the cycle-skipping equivalence tests.
-    pub fn disable_tick_memo(&mut self) {
-        self.tick_memo = false;
-        self.quiet_until = 0;
-    }
-
-    /// Disables the busy-path stage gating so every `tick` dispatches
-    /// every stage body unconditionally. The lockstep oracles use this
-    /// (alongside [`Core::disable_tick_memo`]) so the stage-gating
-    /// equivalence tests compare against a loop with no shortcut at
-    /// all.
-    pub fn disable_stage_gating(&mut self) {
-        self.stage_gating = false;
-    }
-
-    /// Reference run loop that ticks every cycle (no skipping). Kept as
-    /// the oracle for the cycle-skipping equivalence tests.
-    pub fn run_lockstep(&mut self, mem: &mut dyn MemoryBackend, max_cycles: u64) -> u64 {
-        self.disable_tick_memo();
-        self.disable_stage_gating();
-        self.install_program_data(mem);
-        let mut now = 0;
-        while !self.halted && now < max_cycles {
-            self.tick(mem, now);
-            now += 1;
         }
         assert!(
             self.halted,
@@ -997,9 +889,10 @@ impl Core {
     }
 
     fn issue(&mut self, now: u64) {
-        match self.issue_mode {
-            IssueMode::Event => self.issue_event(now),
-            IssueMode::Scan => self.issue_scan(now),
+        if self.reference {
+            self.issue_scan(now);
+        } else {
+            self.issue_event(now);
         }
     }
 
@@ -1172,8 +1065,8 @@ impl Core {
         self.scratch_visit = visit;
     }
 
-    /// Reference issue: the pre-wakeup linear scan over the whole IQ.
-    /// Kept as the oracle for the wakeup-equivalence tests.
+    /// Reference issue: the pre-wakeup linear scan over the whole IQ,
+    /// run by [`Core::set_reference`] cores.
     fn issue_scan(&mut self, now: u64) {
         let mut issued = 0;
         let mut blocked_nonpipelined = 0usize;
@@ -1189,7 +1082,7 @@ impl Core {
         }
         if issued > 0 {
             self.iq.retain(|q| q.seq != u64::MAX);
-            // The wakeup lists are maintained regardless of mode; drop
+            // The wakeup lists are maintained regardless; drop
             // the issued entries so they stay coherent with the IQ.
             let iq = &self.iq;
             self.ready_seqs

@@ -82,11 +82,6 @@ impl FuPool {
             }
         }
     }
-
-    /// Earliest cycle a non-pipelined Mult/Div unit frees up.
-    pub fn muldiv_next_free(&self) -> u64 {
-        self.muldiv_busy_until.iter().copied().min().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -122,7 +117,6 @@ mod tests {
         );
         assert!(!fu.can_issue(FuClass::FpDiv, 5), "shared Mult/Div unit");
         assert!(fu.can_issue(FuClass::IntDiv, 12), "free at completion");
-        assert_eq!(fu.muldiv_next_free(), 12);
     }
 
     #[test]

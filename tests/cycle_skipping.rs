@@ -1,287 +1,124 @@
-//! Cycle-skipping equivalence: the production run loop (which jumps the
-//! clock over globally-quiescent cycles) must be indistinguishable from
-//! the lockstep reference loop that ticks every core on every cycle —
-//! same final cycle count, same per-core pipeline statistics (including
-//! the per-cycle stall counters the skip path replays), same memory
-//! counters, same architectural state.
+//! Cycle skipping and stage gating against the reference oracle: the
+//! production run loop jumps the clock over quiescent cycles (replaying
+//! the per-cycle stall counters it elides) and dispatches only the
+//! pipeline stages with pending work, while [`Machine::run_reference`]
+//! ticks every core on every cycle and runs every stage. The two must
+//! agree on the final cycle count, every per-core statistic and every
+//! memory counter. Each input is compared once; the suites split the
+//! inputs by the shortcut they stress most.
+//!
+//! [`Machine::run_reference`]: ghostminion_repro::core::Machine::run_reference
 
-use ghostminion_repro::core::{Machine, MachineResult, Scheme, SystemConfig};
-use ghostminion_repro::isa::{Asm, DataSegment, Program, Reg};
+mod common;
+
+use common::{assert_matches_reference, random_program, scheme_families};
+use ghostminion_repro::core::{Scheme, SystemConfig};
 use ghostminion_repro::workloads::{Scale, Suite, WorkloadSet};
 use proptest::prelude::*;
 
-fn pair(
-    scheme: Scheme,
-    cfg: SystemConfig,
-    programs: Vec<Program>,
-) -> (MachineResult, MachineResult) {
-    let skipping = Machine::new(scheme, cfg, programs.clone()).run(cfg.max_cycles);
-    let lockstep = Machine::new(scheme, cfg, programs).run_lockstep(cfg.max_cycles);
-    (skipping, lockstep)
-}
-
-fn assert_equivalent(scheme: Scheme, cfg: SystemConfig, programs: Vec<Program>, label: &str) {
-    let (skip, lock) = pair(scheme, cfg, programs);
-    assert_eq!(skip.cycles, lock.cycles, "{label}: cycle counts diverge");
-    assert_eq!(
-        skip.core_stats, lock.core_stats,
-        "{label}: per-core stats diverge"
-    );
-    assert_eq!(
-        skip.mem_stats, lock.mem_stats,
-        "{label}: memory counters diverge"
-    );
-}
-
-/// Real workloads through the real Table 1 machine, across scheme
-/// families with very different stall behaviour (plain OoO, minion
-/// timestamps, commit-time exposure loads, taint gating, §4.9 strict FU
-/// scheduling).
-#[test]
-fn real_workloads_match_lockstep_on_micro2021() {
-    let mut strict = Scheme::ghost_minion();
-    strict.strict_fu_order = true;
-    let schemes = [
-        Scheme::unsafe_baseline(),
-        Scheme::ghost_minion(),
-        Scheme::invisispec_future(),
-        Scheme::stt_spectre(),
-        strict,
-    ];
+/// Runs the `Scale::Test` SPEC CPU2006 analog `name` through the real
+/// Table 1 machine under the five scheme families.
+fn spec2006_unit_matches_reference(name: &str) {
     let set = WorkloadSet::new(Suite::Spec2006, Scale::Test);
     let unit = set
         .units
         .iter()
-        .find(|u| u.name == "bzip2")
-        .expect("bzip2 analog exists");
-    for scheme in schemes {
-        assert_equivalent(
+        .find(|u| u.name == name)
+        .unwrap_or_else(|| panic!("{name} analog exists"));
+    for scheme in scheme_families() {
+        assert_matches_reference(
             scheme,
             SystemConfig::micro2021(),
             unit.programs.clone(),
-            &format!("bzip2/{}", scheme.name()),
+            &format!("{name}/{}", scheme.name()),
         );
     }
 }
 
-/// The multicore skip path: all cores must be quiescent before a cycle
-/// is elided, and idle accounting is per-core.
-#[test]
-fn multicore_parsec_matches_lockstep() {
+/// Parsec unit 0 under `scheme`: all cores must be quiescent before a
+/// cycle is elided, idle accounting is per core, and per-core stage
+/// gates must not desynchronise cores that share a memory system.
+fn parsec_unit0_matches_reference(scheme: Scheme) {
     let set = WorkloadSet::new(Suite::Parsec, Scale::Test);
     let unit = &set.units[0];
     assert!(unit.programs.len() > 1, "parsec units are multi-threaded");
-    assert_equivalent(
-        Scheme::ghost_minion(),
+    assert_matches_reference(
+        scheme,
         SystemConfig::micro2021(),
         unit.programs.clone(),
-        &format!("{}/GhostMinion", unit.name),
+        &format!("{}/{}", unit.name, scheme.name()),
     );
 }
 
-// ---- stage gating ----
-//
-// `Core::tick` dispatches a pipeline stage only when its pending-work
-// predicate holds. The predicates must equal each stage body's own
-// first-iteration entry conditions, so gating can never change
-// behaviour — asserted here by running the same programs three ways:
-// the default machine (gating on), the production loop with gating
-// force-disabled, and the lockstep oracle (no memo, no gating, no
-// cycle skipping).
-
-/// The production wake-ordered loop with every stage dispatched
-/// unconditionally — isolates the gating predicates as the only
-/// difference from the default machine.
-fn run_ungated(scheme: Scheme, cfg: SystemConfig, programs: Vec<Program>) -> MachineResult {
-    let mut m = Machine::new(scheme, cfg, programs);
-    m.disable_stage_gating();
-    m.run(cfg.max_cycles)
+/// bzip2 across the scheme families with the most different stall
+/// behaviour (plain OoO, minion timestamps, commit-time exposure loads,
+/// taint gating, §4.9 strict FU scheduling).
+#[test]
+fn real_workloads_match_lockstep_on_micro2021() {
+    spec2006_unit_matches_reference("bzip2");
 }
 
-fn assert_gating_equivalent(
-    scheme: Scheme,
-    cfg: SystemConfig,
-    programs: Vec<Program>,
-    label: &str,
-) {
-    let gated = Machine::new(scheme, cfg, programs.clone()).run(cfg.max_cycles);
-    let ungated = run_ungated(scheme, cfg, programs.clone());
-    let lockstep = Machine::new(scheme, cfg, programs).run_lockstep(cfg.max_cycles);
-    for (name, other) in [("ungated", &ungated), ("lockstep", &lockstep)] {
-        assert_eq!(
-            gated.cycles, other.cycles,
-            "{label}: cycle counts diverge from the {name} oracle"
-        );
-        assert_eq!(
-            gated.core_stats, other.core_stats,
-            "{label}: per-core stats diverge from the {name} oracle"
-        );
-        assert_eq!(
-            gated.mem_stats, other.mem_stats,
-            "{label}: memory counters diverge from the {name} oracle"
-        );
-    }
-}
-
-/// Stage gating on real workloads across the five scheme families whose
-/// stall behaviour differs most (see
-/// [`real_workloads_match_lockstep_on_micro2021`]).
+/// mcf, the paper's worst case: a dependent chase over a working set
+/// beyond the L2, so cores sit stalled for long stretches in which
+/// most stages have no work and most cycles are skipped.
 #[test]
 fn stage_gating_matches_ungated_and_lockstep_on_real_workloads() {
-    let mut strict = Scheme::ghost_minion();
-    strict.strict_fu_order = true;
-    let schemes = [
-        Scheme::unsafe_baseline(),
-        Scheme::ghost_minion(),
-        Scheme::invisispec_future(),
-        Scheme::stt_spectre(),
-        strict,
-    ];
-    let set = WorkloadSet::new(Suite::Spec2006, Scale::Test);
-    let unit = set
-        .units
-        .iter()
-        .find(|u| u.name == "bzip2")
-        .expect("bzip2 analog exists");
-    for scheme in schemes {
-        assert_gating_equivalent(
-            scheme,
-            SystemConfig::micro2021(),
-            unit.programs.clone(),
-            &format!("bzip2/{}", scheme.name()),
-        );
-    }
+    spec2006_unit_matches_reference("mcf");
 }
 
-/// Stage gating under the multicore wake-ordered scheduler: per-core
-/// predicates must not desynchronise cores that share a memory system.
+#[test]
+fn multicore_parsec_matches_lockstep() {
+    parsec_unit0_matches_reference(Scheme::ghost_minion());
+}
+
+/// STT's taint delays are settled lazily by the skip path, so they are
+/// the stall counters most likely to drift across cores.
 #[test]
 fn multicore_stage_gating_matches_oracles() {
-    let set = WorkloadSet::new(Suite::Parsec, Scale::Test);
-    let unit = &set.units[0];
-    assert!(unit.programs.len() > 1, "parsec units are multi-threaded");
-    for scheme in [Scheme::ghost_minion(), Scheme::stt_spectre()] {
-        assert_gating_equivalent(
-            scheme,
-            SystemConfig::micro2021(),
-            unit.programs.clone(),
-            &format!("{}/{}", unit.name, scheme.name()),
-        );
-    }
-}
-
-/// Same generator as the functional-equivalence suite: bounded loads and
-/// stores, data-dependent branches, divides (non-pipelined FU occupancy),
-/// and a final counted loop.
-fn random_program(ops: &[u8], seeds: &[u64]) -> Program {
-    let mut a = Asm::new("random");
-    let arena = 0x20_0000u64;
-    let words: Vec<u64> = seeds.iter().cycle().take(64).copied().collect();
-    a.data(DataSegment::words(arena, &words));
-    a.li(Reg::x(20), arena as i64);
-    for (i, &s) in seeds.iter().take(8).enumerate() {
-        a.li(Reg::x(1 + i as u8), (s & 0xffff) as i64);
-    }
-    for (k, &op) in ops.iter().enumerate() {
-        let rd = Reg::x(1 + (op % 8));
-        let rs1 = Reg::x(1 + ((op >> 3) % 8));
-        let rs2 = Reg::x(1 + ((op >> 5) % 4));
-        match op % 11 {
-            0 => a.add(rd, rs1, rs2),
-            1 => a.sub(rd, rs1, rs2),
-            2 => a.xor(rd, rs1, rs2),
-            3 => a.mul(rd, rs1, rs2),
-            4 => a.div(rd, rs1, rs2),
-            5 => a.slli(rd, rs1, (op % 7) as i64),
-            6 => {
-                a.andi(Reg::x(9), rs1, 0x1f8);
-                a.add(Reg::x(9), Reg::x(9), Reg::x(20));
-                a.ld(rd, Reg::x(9), 0);
-            }
-            7 => {
-                a.andi(Reg::x(9), rs1, 0x1f8);
-                a.add(Reg::x(9), Reg::x(9), Reg::x(20));
-                a.st(rs2, Reg::x(9), 0);
-            }
-            8 => {
-                let skip = a.label();
-                a.andi(Reg::x(9), rs1, 1 + (k as i64 % 3));
-                a.beq(Reg::x(9), Reg::ZERO, skip);
-                a.addi(rd, rd, 1);
-                a.bind(skip);
-            }
-            9 => a.fadd(Reg::f(1), rs1, rs2),
-            _ => a.rem(rd, rs1, rs2),
-        }
-    }
-    let (i, n) = (Reg::x(10), Reg::x(11));
-    a.li(i, 0);
-    a.li(n, 40);
-    let top = a.here();
-    a.addi(Reg::x(1), Reg::x(1), 3);
-    a.addi(i, i, 1);
-    a.bne(i, n, top);
-    a.halt();
-    a.assemble()
+    parsec_unit0_matches_reference(Scheme::stt_spectre());
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Property: for any program, cycle-skipping never changes
-    /// `MachineResult.cycles` (nor any statistic) under any scheme
-    /// family, including the ones whose stall counters the skip path
-    /// has to replay (STT taint delays, strict-FU delays).
+    /// Property: for any program, under any scheme family, cycle
+    /// skipping never changes `MachineResult.cycles` nor any statistic,
+    /// including the stall counters the skip path has to replay
+    /// (strict-FU delays) and settles lazily (STT delays).
     #[test]
     fn random_programs_match_lockstep(
         ops in proptest::collection::vec(any::<u8>(), 10..80),
         seeds in proptest::collection::vec(1u64..u64::MAX, 8),
     ) {
         let prog = random_program(&ops, &seeds);
-        let mut strict = Scheme::ghost_minion();
-        strict.strict_fu_order = true;
-        for scheme in [
-            Scheme::unsafe_baseline(),
-            Scheme::ghost_minion(),
-            Scheme::invisispec_future(),
-            Scheme::stt_spectre(),
-            strict,
-        ] {
-            let cfg = SystemConfig::tiny();
-            let (skip, lock) = pair(scheme, cfg, vec![prog.clone()]);
-            prop_assert_eq!(skip.cycles, lock.cycles, "cycles diverge under {}", scheme.name());
-            prop_assert_eq!(skip.core_stats, lock.core_stats, "stats diverge under {}", scheme.name());
-            prop_assert_eq!(skip.mem_stats, lock.mem_stats, "mem counters diverge under {}", scheme.name());
+        for scheme in scheme_families() {
+            assert_matches_reference(
+                scheme,
+                SystemConfig::tiny(),
+                vec![prog.clone()],
+                &format!("random/{}", scheme.name()),
+            );
         }
     }
 
-    /// Property: for any program, disabling stage gating (alone, with
-    /// the production loop otherwise unchanged) is unobservable in
-    /// every result field, under every scheme family. Together with
-    /// `random_programs_match_lockstep` this pins the gated machine to
-    /// the no-shortcut oracle through an intermediate that isolates
-    /// the predicates themselves.
+    /// Property: for any program, under any scheme family, running only
+    /// the stages whose pending-work predicate holds is unobservable.
+    /// The predicates must equal each stage body's own entry
+    /// conditions. The property draws its own programs, so it adds 16
+    /// inputs to the ones above.
     #[test]
     fn random_programs_gating_is_unobservable(
         ops in proptest::collection::vec(any::<u8>(), 10..80),
         seeds in proptest::collection::vec(1u64..u64::MAX, 8),
     ) {
         let prog = random_program(&ops, &seeds);
-        let mut strict = Scheme::ghost_minion();
-        strict.strict_fu_order = true;
-        for scheme in [
-            Scheme::unsafe_baseline(),
-            Scheme::ghost_minion(),
-            Scheme::invisispec_future(),
-            Scheme::stt_spectre(),
-            strict,
-        ] {
-            let cfg = SystemConfig::tiny();
-            let gated = Machine::new(scheme, cfg, vec![prog.clone()]).run(cfg.max_cycles);
-            let ungated = run_ungated(scheme, cfg, vec![prog.clone()]);
-            prop_assert_eq!(gated.cycles, ungated.cycles, "cycles diverge under {}", scheme.name());
-            prop_assert_eq!(gated.core_stats, ungated.core_stats, "stats diverge under {}", scheme.name());
-            prop_assert_eq!(gated.mem_stats, ungated.mem_stats, "mem counters diverge under {}", scheme.name());
+        for scheme in scheme_families() {
+            assert_matches_reference(
+                scheme,
+                SystemConfig::tiny(),
+                vec![prog.clone()],
+                &format!("random/{}", scheme.name()),
+            );
         }
     }
 }

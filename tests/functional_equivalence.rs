@@ -2,8 +2,11 @@
 //! transparent — same architectural results, different timing only —
 //! across the whole workload suite, and random programs.
 
+mod common;
+
+use common::random_program;
 use ghostminion_repro::core::{Machine, Scheme, SystemConfig};
-use ghostminion_repro::isa::{Asm, DataSegment, Program, Reg};
+use ghostminion_repro::isa::{Program, Reg};
 use ghostminion_repro::workloads::{spec2006_analogs, Scale};
 use proptest::prelude::*;
 
@@ -32,65 +35,6 @@ fn spec_analogs_agree_across_all_schemes() {
             );
         }
     }
-}
-
-/// Builds a random but always-terminating program: straight-line ALU ops
-/// over a seeded register file, a couple of counted loops, loads and
-/// stores into a private arena, and data-dependent (but bounded)
-/// branches.
-fn random_program(ops: &[u8], seeds: &[u64]) -> Program {
-    let mut a = Asm::new("random");
-    let arena = 0x20_0000u64;
-    let words: Vec<u64> = seeds.iter().cycle().take(64).copied().collect();
-    a.data(DataSegment::words(arena, &words));
-    a.li(Reg::x(20), arena as i64);
-    for (i, &s) in seeds.iter().take(8).enumerate() {
-        a.li(Reg::x(1 + i as u8), (s & 0xffff) as i64);
-    }
-    for (k, &op) in ops.iter().enumerate() {
-        let rd = Reg::x(1 + (op % 8));
-        let rs1 = Reg::x(1 + ((op >> 3) % 8));
-        let rs2 = Reg::x(1 + ((op >> 5) % 4));
-        match op % 11 {
-            0 => a.add(rd, rs1, rs2),
-            1 => a.sub(rd, rs1, rs2),
-            2 => a.xor(rd, rs1, rs2),
-            3 => a.mul(rd, rs1, rs2),
-            4 => a.div(rd, rs1, rs2),
-            5 => a.slli(rd, rs1, (op % 7) as i64),
-            6 => {
-                // Bounded load from the arena.
-                a.andi(Reg::x(9), rs1, 0x1f8);
-                a.add(Reg::x(9), Reg::x(9), Reg::x(20));
-                a.ld(rd, Reg::x(9), 0);
-            }
-            7 => {
-                a.andi(Reg::x(9), rs1, 0x1f8);
-                a.add(Reg::x(9), Reg::x(9), Reg::x(20));
-                a.st(rs2, Reg::x(9), 0);
-            }
-            8 => {
-                // Data-dependent branch over one skipped instruction.
-                let skip = a.label();
-                a.andi(Reg::x(9), rs1, 1 + (k as i64 % 3));
-                a.beq(Reg::x(9), Reg::ZERO, skip);
-                a.addi(rd, rd, 1);
-                a.bind(skip);
-            }
-            9 => a.fadd(Reg::f(1), rs1, rs2),
-            _ => a.rem(rd, rs1, rs2),
-        }
-    }
-    // A counted loop to exercise the predictor and squash paths.
-    let (i, n) = (Reg::x(10), Reg::x(11));
-    a.li(i, 0);
-    a.li(n, 40);
-    let top = a.here();
-    a.addi(Reg::x(1), Reg::x(1), 3);
-    a.addi(i, i, 1);
-    a.bne(i, n, top);
-    a.halt();
-    a.assemble()
 }
 
 proptest! {

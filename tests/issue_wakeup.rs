@@ -1,88 +1,52 @@
-//! Issue-wakeup equivalence: the event-driven issue stage (per-physical-
-//! register wakeup lists feeding a maintained ready set) must be
-//! indistinguishable from the linear IQ scan it replaced — same final
-//! cycle count, same per-core pipeline statistics (including the §4.9
-//! `strict_fu_delays` accounting the scan performs on *waiting*
-//! non-pipelined entries), same memory counters, same architectural
-//! state. [`IssueMode::Scan`] keeps the old scan alive as the oracle,
-//! exactly as `run_lockstep` does for cycle skipping.
+//! Event-driven issue against the reference oracle: the production issue
+//! stage feeds a maintained ready set from per-physical-register wakeup
+//! lists, while [`Machine::run_reference`] scans the whole IQ every
+//! cycle. The two must agree on the final cycle count, every per-core
+//! statistic (including the §4.9 `strict_fu_delays` the scan counts on
+//! *waiting* non-pipelined entries) and every memory counter. Each input
+//! is compared once; `cycle_skipping.rs` holds the inputs that stress
+//! the run loop's other shortcuts.
+//!
+//! [`Machine::run_reference`]: ghostminion_repro::core::Machine::run_reference
 
-use ghostminion_repro::core::{Machine, MachineResult, Scheme, SystemConfig};
-use ghostminion_repro::isa::{Asm, DataSegment, Program, Reg};
-use ghostminion_repro::sim::IssueMode;
+mod common;
+
+use common::{assert_matches_reference, random_program, scheme_families};
+use ghostminion_repro::core::{Scheme, SystemConfig};
+use ghostminion_repro::isa::{Asm, Reg};
 use ghostminion_repro::workloads::{Scale, Suite, WorkloadSet};
 use proptest::prelude::*;
 
-/// Runs the same machine twice: the production configuration (event
-/// wakeup + cycle skipping) against the doubly-conservative oracle
-/// (linear scan + lockstep), so any interaction between the two
-/// mechanisms diverges here too.
-fn pair(
-    scheme: Scheme,
-    cfg: SystemConfig,
-    programs: Vec<Program>,
-) -> (MachineResult, MachineResult) {
-    let event = Machine::new(scheme, cfg, programs.clone()).run(cfg.max_cycles);
-    let mut oracle = Machine::new(scheme, cfg, programs);
-    oracle.set_issue_mode(IssueMode::Scan);
-    let scan = oracle.run_lockstep(cfg.max_cycles);
-    (event, scan)
-}
-
-fn assert_equivalent(scheme: Scheme, cfg: SystemConfig, programs: Vec<Program>, label: &str) {
-    let (event, scan) = pair(scheme, cfg, programs);
-    assert_eq!(event.cycles, scan.cycles, "{label}: cycle counts diverge");
-    assert_eq!(
-        event.core_stats, scan.core_stats,
-        "{label}: per-core stats diverge"
-    );
-    assert_eq!(
-        event.mem_stats, scan.mem_stats,
-        "{label}: memory counters diverge"
-    );
-}
-
-/// Real workloads through the real Table 1 machine, across scheme
-/// families with very different issue-stage behaviour (plain OoO,
-/// commit-time exposure loads, taint-gated issue, §4.9 strict FU
-/// scheduling — whose blocked-entry accounting is the subtlest part of
-/// the scan to reproduce).
+/// povray, divide- and sqrt-dense: non-pipelined FU occupancy and §4.9
+/// strict FU scheduling, whose blocked-entry accounting is the subtlest
+/// part of the scan to reproduce, across the five scheme families.
 #[test]
 fn real_workloads_match_linear_scan_on_micro2021() {
-    let mut strict = Scheme::ghost_minion();
-    strict.strict_fu_order = true;
-    let schemes = [
-        Scheme::unsafe_baseline(),
-        Scheme::ghost_minion(),
-        Scheme::invisispec_future(),
-        Scheme::stt_spectre(),
-        strict,
-    ];
     let set = WorkloadSet::new(Suite::Spec2006, Scale::Test);
     let unit = set
         .units
         .iter()
-        .find(|u| u.name == "bzip2")
-        .expect("bzip2 analog exists");
-    for scheme in schemes {
-        assert_equivalent(
+        .find(|u| u.name == "povray")
+        .expect("povray analog exists");
+    for scheme in scheme_families() {
+        assert_matches_reference(
             scheme,
             SystemConfig::micro2021(),
             unit.programs.clone(),
-            &format!("bzip2/{}", scheme.name()),
+            &format!("povray/{}", scheme.name()),
         );
     }
 }
 
-/// The multicore path: wakeup lists are per core, and the quiescent-tick
-/// memo (which the event engine leans on) must stay bit-identical under
-/// cross-core cancellations.
+/// Wakeup lists are per core and must stay exact under cross-core
+/// leapfrog cancellations. Parsec unit 1, so the inputs do not overlap
+/// with `cycle_skipping.rs`'s unit 0.
 #[test]
 fn multicore_parsec_matches_linear_scan() {
     let set = WorkloadSet::new(Suite::Parsec, Scale::Test);
-    let unit = &set.units[0];
+    let unit = &set.units[1];
     assert!(unit.programs.len() > 1, "parsec units are multi-threaded");
-    assert_equivalent(
+    assert_matches_reference(
         Scheme::ghost_minion(),
         SystemConfig::micro2021(),
         unit.programs.clone(),
@@ -110,10 +74,9 @@ fn squash_heavy_loop_matches_linear_scan() {
     a.bne(i, n, top);
     a.halt();
     let prog = a.assemble();
-    let mut strict = Scheme::ghost_minion();
-    strict.strict_fu_order = true;
-    for scheme in [Scheme::unsafe_baseline(), strict] {
-        assert_equivalent(
+    let [unsafe_baseline, .., strict] = scheme_families();
+    for scheme in [unsafe_baseline, strict] {
+        assert_matches_reference(
             scheme,
             SystemConfig::tiny(),
             vec![prog.clone()],
@@ -122,89 +85,27 @@ fn squash_heavy_loop_matches_linear_scan() {
     }
 }
 
-/// Same generator as the cycle-skipping suite: bounded loads and stores,
-/// data-dependent branches, divides (non-pipelined FU occupancy), and a
-/// final counted loop.
-fn random_program(ops: &[u8], seeds: &[u64]) -> Program {
-    let mut a = Asm::new("random");
-    let arena = 0x20_0000u64;
-    let words: Vec<u64> = seeds.iter().cycle().take(64).copied().collect();
-    a.data(DataSegment::words(arena, &words));
-    a.li(Reg::x(20), arena as i64);
-    for (i, &s) in seeds.iter().take(8).enumerate() {
-        a.li(Reg::x(1 + i as u8), (s & 0xffff) as i64);
-    }
-    for (k, &op) in ops.iter().enumerate() {
-        let rd = Reg::x(1 + (op % 8));
-        let rs1 = Reg::x(1 + ((op >> 3) % 8));
-        let rs2 = Reg::x(1 + ((op >> 5) % 4));
-        match op % 11 {
-            0 => a.add(rd, rs1, rs2),
-            1 => a.sub(rd, rs1, rs2),
-            2 => a.xor(rd, rs1, rs2),
-            3 => a.mul(rd, rs1, rs2),
-            4 => a.div(rd, rs1, rs2),
-            5 => a.slli(rd, rs1, (op % 7) as i64),
-            6 => {
-                a.andi(Reg::x(9), rs1, 0x1f8);
-                a.add(Reg::x(9), Reg::x(9), Reg::x(20));
-                a.ld(rd, Reg::x(9), 0);
-            }
-            7 => {
-                a.andi(Reg::x(9), rs1, 0x1f8);
-                a.add(Reg::x(9), Reg::x(9), Reg::x(20));
-                a.st(rs2, Reg::x(9), 0);
-            }
-            8 => {
-                let skip = a.label();
-                a.andi(Reg::x(9), rs1, 1 + (k as i64 % 3));
-                a.beq(Reg::x(9), Reg::ZERO, skip);
-                a.addi(rd, rd, 1);
-                a.bind(skip);
-            }
-            9 => a.fadd(Reg::f(1), rs1, rs2),
-            _ => a.rem(rd, rs1, rs2),
-        }
-    }
-    let (i, n) = (Reg::x(10), Reg::x(11));
-    a.li(i, 0);
-    a.li(n, 40);
-    let top = a.here();
-    a.addi(Reg::x(1), Reg::x(1), 3);
-    a.addi(i, i, 1);
-    a.bne(i, n, top);
-    a.halt();
-    a.assemble()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Property: for any program, wakeup-list issue never changes
-    /// `MachineResult.cycles` (nor any statistic) under any scheme
-    /// family, including §4.9 strict FU ordering, whose per-cycle
-    /// strict-delay counters depend on *waiting* non-pipelined IQ
-    /// entries the ready set alone would not visit.
+    /// Property: for any program, under any scheme family, wakeup-list
+    /// issue never changes `MachineResult.cycles` nor any statistic,
+    /// including §4.9 strict FU ordering, whose per-cycle strict-delay
+    /// counters depend on *waiting* non-pipelined IQ entries the ready
+    /// set alone would not visit.
     #[test]
     fn random_programs_match_linear_scan(
         ops in proptest::collection::vec(any::<u8>(), 10..80),
         seeds in proptest::collection::vec(1u64..u64::MAX, 8),
     ) {
         let prog = random_program(&ops, &seeds);
-        let mut strict = Scheme::ghost_minion();
-        strict.strict_fu_order = true;
-        for scheme in [
-            Scheme::unsafe_baseline(),
-            Scheme::ghost_minion(),
-            Scheme::invisispec_future(),
-            Scheme::stt_spectre(),
-            strict,
-        ] {
-            let cfg = SystemConfig::tiny();
-            let (event, scan) = pair(scheme, cfg, vec![prog.clone()]);
-            prop_assert_eq!(event.cycles, scan.cycles, "cycles diverge under {}", scheme.name());
-            prop_assert_eq!(event.core_stats, scan.core_stats, "stats diverge under {}", scheme.name());
-            prop_assert_eq!(event.mem_stats, scan.mem_stats, "mem counters diverge under {}", scheme.name());
+        for scheme in scheme_families() {
+            assert_matches_reference(
+                scheme,
+                SystemConfig::tiny(),
+                vec![prog.clone()],
+                &format!("random/{}", scheme.name()),
+            );
         }
     }
 }

@@ -2,33 +2,15 @@
 //! `Machine::run`: a sleeping core re-scheduled mid-sleep by a leapfrog
 //! cancellation, all-cores-quiescent clock jumps, staggered halts, and
 //! the single-core degenerate case. Each scenario is asserted
-//! cycle-identical (and statistic-identical) against the lockstep
-//! reference loop that ticks every core on every cycle.
+//! cycle-identical (and statistic-identical) against
+//! `Machine::run_reference`, the lockstep loop that ticks every core on
+//! every cycle.
 
-use ghostminion_repro::core::{Machine, MachineResult, Scheme, SystemConfig};
+mod common;
+
+use common::{assert_matches_reference, scheme_families};
+use ghostminion_repro::core::{Scheme, SystemConfig};
 use ghostminion_repro::isa::{Asm, DataSegment, Program, Reg};
-
-fn pair(
-    scheme: Scheme,
-    cfg: SystemConfig,
-    programs: Vec<Program>,
-) -> (MachineResult, MachineResult) {
-    let skipping = Machine::new(scheme, cfg, programs.clone()).run(cfg.max_cycles);
-    let lockstep = Machine::new(scheme, cfg, programs).run_lockstep(cfg.max_cycles);
-    (skipping, lockstep)
-}
-
-fn assert_equivalent(skip: &MachineResult, lock: &MachineResult, label: &str) {
-    assert_eq!(skip.cycles, lock.cycles, "{label}: cycle counts diverge");
-    assert_eq!(
-        skip.core_stats, lock.core_stats,
-        "{label}: per-core stats diverge"
-    );
-    assert_eq!(
-        skip.mem_stats, lock.mem_stats,
-        "{label}: memory counters diverge"
-    );
-}
 
 /// A core that bursts `lines` independent loads per loop iteration at
 /// *permuted* cache lines (stride `3 * 512` mod the region, so the
@@ -93,8 +75,8 @@ enum Pad {
 
 /// Tentpole edge case: a sleeping core whose `next_wake` is far away
 /// gets its in-flight load cancelled by the other core's leapfrog — the
-/// push channel must re-schedule it immediately, at the exact cycle the
-/// per-cycle engine's memo check would have seen the cancellation.
+/// push channel must re-schedule it immediately, at the exact cycle a
+/// core ticked every cycle would have drained the cancellation.
 #[test]
 fn leapfrog_cancellation_mid_sleep_matches_lockstep() {
     let cfg = SystemConfig::tiny();
@@ -107,7 +89,8 @@ fn leapfrog_cancellation_mid_sleep_matches_lockstep() {
         mshr_hammer(1, 40, 8, Pad::Time(25)), // old ts, bursts arrive late
         mshr_hammer(2, 40, 8, Pad::Seq(500)), // young ts, loads in flight early
     ];
-    let (skip, lock) = pair(Scheme::ghost_minion(), cfg, programs);
+    let skip =
+        assert_matches_reference(Scheme::ghost_minion(), cfg, programs, "leapfrog mid-sleep");
     // The scenario must actually exercise the push channel: leapfrog
     // steals happened and cancelled loads were replayed by their cores.
     assert!(
@@ -119,7 +102,6 @@ fn leapfrog_cancellation_mid_sleep_matches_lockstep() {
         replays > 0,
         "scenario failed to deliver a cancellation to a core"
     );
-    assert_equivalent(&skip, &lock, "leapfrog mid-sleep");
 }
 
 /// All cores quiescent at once: every core chases dependent DRAM misses,
@@ -149,8 +131,7 @@ fn all_cores_quiescent_clock_jumps_match_lockstep() {
         a.assemble()
     };
     let programs = vec![chase(0), chase(1), chase(2)];
-    let (skip, lock) = pair(Scheme::ghost_minion(), cfg, programs);
-    assert_equivalent(&skip, &lock, "all-quiescent jumps");
+    assert_matches_reference(Scheme::ghost_minion(), cfg, programs, "all-quiescent jumps");
 }
 
 /// Cores halting at very different times: the scheduler must drop each
@@ -162,8 +143,7 @@ fn staggered_halts_match_lockstep() {
         mshr_hammer(0, 2, 4, Pad::Seq(0)),    // halts early
         mshr_hammer(1, 30, 4, Pad::Time(12)), // keeps running long after
     ];
-    let (skip, lock) = pair(Scheme::ghost_minion(), cfg, programs);
-    assert_equivalent(&skip, &lock, "staggered halts");
+    assert_matches_reference(Scheme::ghost_minion(), cfg, programs, "staggered halts");
 }
 
 /// A single-core run must degenerate to the plain jump path (tick,
@@ -174,16 +154,12 @@ fn staggered_halts_match_lockstep() {
 #[test]
 fn single_core_degenerates_to_jump_path() {
     let cfg = SystemConfig::tiny();
-    let mut strict = Scheme::ghost_minion();
-    strict.strict_fu_order = true;
-    for scheme in [
-        Scheme::unsafe_baseline(),
-        Scheme::ghost_minion(),
-        Scheme::invisispec_future(),
-        Scheme::stt_spectre(),
-        strict,
-    ] {
-        let (skip, lock) = pair(scheme, cfg, vec![mshr_hammer(0, 20, 5, Pad::Seq(0))]);
-        assert_equivalent(&skip, &lock, &format!("single-core/{}", scheme.name()));
+    for scheme in scheme_families() {
+        assert_matches_reference(
+            scheme,
+            cfg,
+            vec![mshr_hammer(0, 20, 5, Pad::Seq(0))],
+            &format!("single-core/{}", scheme.name()),
+        );
     }
 }

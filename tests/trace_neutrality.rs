@@ -9,8 +9,11 @@
 //! the five scheme families with the most different stall behaviour, a
 //! multi-threaded Parsec unit, and property-tested random programs.
 
+mod common;
+
+use common::{random_program, scheme_families};
 use ghostminion_repro::core::{Machine, MachineResult, Scheme, SystemConfig};
-use ghostminion_repro::isa::{Asm, DataSegment, Program, Reg};
+use ghostminion_repro::isa::Program;
 use ghostminion_repro::sim::{TraceEvent, TraceSink};
 use ghostminion_repro::trace::{validate_o3, O3PipeViewSink, SummarySink, Tee};
 use ghostminion_repro::workloads::{Scale, Suite, WorkloadSet};
@@ -121,28 +124,17 @@ fn assert_neutral(scheme: Scheme, cfg: SystemConfig, programs: Vec<Program>, lab
     );
 }
 
-/// Real workloads through the real Table 1 machine, across scheme
-/// families with very different stall behaviour (plain OoO, minion
-/// timestamps, commit-time exposure loads, taint gating, §4.9 strict
-/// FU scheduling).
+/// Real workloads through the real Table 1 machine, across the scheme
+/// families with the most different stall behaviour.
 #[test]
 fn tracing_is_neutral_on_real_workloads() {
-    let mut strict = Scheme::ghost_minion();
-    strict.strict_fu_order = true;
-    let schemes = [
-        Scheme::unsafe_baseline(),
-        Scheme::ghost_minion(),
-        Scheme::invisispec_future(),
-        Scheme::stt_spectre(),
-        strict,
-    ];
     let set = WorkloadSet::new(Suite::Spec2006, Scale::Test);
     let unit = set
         .units
         .iter()
         .find(|u| u.name == "bzip2")
         .expect("bzip2 analog exists");
-    for scheme in schemes {
+    for scheme in scheme_families() {
         assert_neutral(
             scheme,
             SystemConfig::micro2021(),
@@ -170,61 +162,6 @@ fn tracing_is_neutral_on_multicore_parsec() {
     }
 }
 
-/// Same generator as the cycle-skipping suite: bounded loads and
-/// stores, data-dependent branches, divides (non-pipelined FU
-/// occupancy), and a final counted loop.
-fn random_program(ops: &[u8], seeds: &[u64]) -> Program {
-    let mut a = Asm::new("random");
-    let arena = 0x20_0000u64;
-    let words: Vec<u64> = seeds.iter().cycle().take(64).copied().collect();
-    a.data(DataSegment::words(arena, &words));
-    a.li(Reg::x(20), arena as i64);
-    for (i, &s) in seeds.iter().take(8).enumerate() {
-        a.li(Reg::x(1 + i as u8), (s & 0xffff) as i64);
-    }
-    for (k, &op) in ops.iter().enumerate() {
-        let rd = Reg::x(1 + (op % 8));
-        let rs1 = Reg::x(1 + ((op >> 3) % 8));
-        let rs2 = Reg::x(1 + ((op >> 5) % 4));
-        match op % 11 {
-            0 => a.add(rd, rs1, rs2),
-            1 => a.sub(rd, rs1, rs2),
-            2 => a.xor(rd, rs1, rs2),
-            3 => a.mul(rd, rs1, rs2),
-            4 => a.div(rd, rs1, rs2),
-            5 => a.slli(rd, rs1, (op % 7) as i64),
-            6 => {
-                a.andi(Reg::x(9), rs1, 0x1f8);
-                a.add(Reg::x(9), Reg::x(9), Reg::x(20));
-                a.ld(rd, Reg::x(9), 0);
-            }
-            7 => {
-                a.andi(Reg::x(9), rs1, 0x1f8);
-                a.add(Reg::x(9), Reg::x(9), Reg::x(20));
-                a.st(rs2, Reg::x(9), 0);
-            }
-            8 => {
-                let skip = a.label();
-                a.andi(Reg::x(9), rs1, 1 + (k as i64 % 3));
-                a.beq(Reg::x(9), Reg::ZERO, skip);
-                a.addi(rd, rd, 1);
-                a.bind(skip);
-            }
-            9 => a.fadd(Reg::f(1), rs1, rs2),
-            _ => a.rem(rd, rs1, rs2),
-        }
-    }
-    let (i, n) = (Reg::x(10), Reg::x(11));
-    a.li(i, 0);
-    a.li(n, 40);
-    let top = a.here();
-    a.addi(Reg::x(1), Reg::x(1), 3);
-    a.addi(i, i, 1);
-    a.bne(i, n, top);
-    a.halt();
-    a.assemble()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -237,15 +174,7 @@ proptest! {
         seeds in proptest::collection::vec(1u64..u64::MAX, 8),
     ) {
         let prog = random_program(&ops, &seeds);
-        let mut strict = Scheme::ghost_minion();
-        strict.strict_fu_order = true;
-        for scheme in [
-            Scheme::unsafe_baseline(),
-            Scheme::ghost_minion(),
-            Scheme::invisispec_future(),
-            Scheme::stt_spectre(),
-            strict,
-        ] {
+        for scheme in scheme_families() {
             let cfg = SystemConfig::tiny();
             let untraced = Machine::new(scheme, cfg, vec![prog.clone()]).run(cfg.max_cycles);
             let traced = run_traced(scheme, cfg, vec![prog.clone()]);
