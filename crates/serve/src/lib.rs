@@ -7,7 +7,10 @@
 //!
 //! * **Connection-per-thread accept loop**, bounded by
 //!   [`ServeConfig::max_inflight`] — excess connections wait in the
-//!   listener backlog instead of spawning unbounded threads.
+//!   listener backlog instead of spawning unbounded threads. The loop
+//!   blocks in `accept`, so a client is served the moment it connects;
+//!   [`Shutdown::trigger`] wakes it with one throwaway loopback
+//!   connection to every listener registered on the flag.
 //! * **Per-connection deadlines** on every read and write: a stalled
 //!   or half-dead peer is dropped, never able to wedge the daemon.
 //! * **Checksum verification on every `Put`**: the server re-renders
@@ -28,9 +31,9 @@ use gm_results::{read_frame, sha256_hex, write_frame, Request, Response, ResultS
 use gm_stats::Json;
 use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -65,7 +68,15 @@ impl Default for ServeConfig {
 /// not a process global, so parallel in-process servers in tests stay
 /// independent.
 #[derive(Clone, Debug, Default)]
-pub struct Shutdown(Arc<AtomicBool>);
+pub struct Shutdown(Arc<DrainFlag>);
+
+#[derive(Debug, Default)]
+struct DrainFlag {
+    set: AtomicBool,
+    /// Loopback addresses of the listeners a trigger must wake out of
+    /// `accept`; each [`Server`] is on it from bind to drop.
+    wake: Mutex<Vec<SocketAddr>>,
+}
 
 impl Shutdown {
     /// A flag that is not yet set.
@@ -73,14 +84,25 @@ impl Shutdown {
         Self::default()
     }
 
-    /// Requests the drain.
+    /// Requests the drain, then wakes every registered accept loop
+    /// with a throwaway connection. The flag is set first, and the loop
+    /// checks it before every `accept`, so no wake-up can be lost.
     pub fn trigger(&self) {
-        self.0.store(true, Ordering::SeqCst);
+        self.0.set.store(true, Ordering::SeqCst);
+        // Held across the connects: a server cannot unregister, and so
+        // cannot close its listener, while it is being woken.
+        for addr in self.wake_list().iter() {
+            let _ = TcpStream::connect_timeout(addr, Duration::from_secs(1));
+        }
     }
 
     /// Whether the drain has been requested.
     pub fn is_set(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
+        self.0.set.load(Ordering::SeqCst)
+    }
+
+    fn wake_list(&self) -> MutexGuard<'_, Vec<SocketAddr>> {
+        self.0.wake.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -187,6 +209,8 @@ fn valid_experiment(name: &str) -> bool {
 /// A bound, not-yet-running result service.
 pub struct Server {
     listener: TcpListener,
+    /// Where [`Shutdown::trigger`] connects to wake the accept loop.
+    wake_addr: SocketAddr,
     inner: Arc<Inner>,
 }
 
@@ -211,9 +235,11 @@ impl Server {
             experiments.insert(experiment);
         }
         let listener = TcpListener::bind(listen)?;
-        listener.set_nonblocking(true)?;
+        let wake_addr = loopback(listener.local_addr()?);
+        shutdown.wake_list().push(wake_addr);
         Ok(Self {
             listener,
+            wake_addr,
             inner: Arc::new(Inner {
                 store,
                 cfg,
@@ -248,6 +274,8 @@ impl Server {
                 continue;
             }
             match self.listener.accept() {
+                // The connection that woke a drain, or one that raced it.
+                Ok(_) if self.inner.shutdown.is_set() => break,
                 Ok((stream, _peer)) => {
                     let inner = Arc::clone(&self.inner);
                     inner.inflight.fetch_add(1, Ordering::Relaxed);
@@ -255,9 +283,6 @@ impl Server {
                         serve_connection(&inner, stream);
                         inner.inflight.fetch_sub(1, Ordering::Relaxed);
                     }));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(5));
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
@@ -280,12 +305,30 @@ impl Server {
     }
 }
 
+impl Drop for Server {
+    /// Leaves the wake list before the listener closes, so a later
+    /// trigger never connects to a process that reused the port.
+    fn drop(&mut self) {
+        self.inner
+            .shutdown
+            .wake_list()
+            .retain(|a| *a != self.wake_addr);
+    }
+}
+
+/// The address a local client reaches a listener bound to `addr` at:
+/// an unspecified `0.0.0.0`/`[::]` maps to the matching loopback.
+fn loopback(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
+}
+
 /// Serves one connection until EOF, error, or drain.
 fn serve_connection(inner: &Inner, mut stream: TcpStream) {
-    // The listener is non-blocking; the accepted stream must not be.
-    if stream.set_nonblocking(false).is_err() {
-        return;
-    }
     let _ = stream.set_read_timeout(Some(inner.cfg.read_timeout));
     let _ = stream.set_write_timeout(Some(inner.cfg.write_timeout));
     loop {
@@ -335,13 +378,20 @@ fn handle_request(inner: &Inner, payload: &[u8]) -> Response {
             if !valid_experiment(&experiment) {
                 return reject(format!("invalid experiment name {experiment:?}"));
             }
-            let index = inner.index.lock().unwrap_or_else(PoisonError::into_inner);
-            match index.get(&(experiment, fingerprint)) {
+            // Clone under the lock, hash outside it: concurrent gets must
+            // not queue behind one another's render and SHA-256.
+            let record = inner
+                .index
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .get(&(experiment, fingerprint))
+                .cloned();
+            match record {
                 Some(record) => {
                     c.hits.fetch_add(1, Ordering::Relaxed);
                     Response::Found {
                         sha: sha256_hex(record.render().as_bytes()),
-                        record: record.clone(),
+                        record,
                     }
                 }
                 None => {
@@ -414,6 +464,8 @@ mod tests {
     use super::*;
     use gm_results::{RemoteStore, RetryPolicy};
     use std::path::PathBuf;
+    use std::sync::mpsc;
+    use std::time::Instant;
 
     /// A unique scratch directory under the system temp dir, removed
     /// on drop (the offline environment has no `tempfile` crate).
@@ -458,20 +510,42 @@ mod tests {
         })
     }
 
-    /// Starts an in-process server over `store`, returning its
-    /// address, drain trigger, and join handle.
-    fn spawn_server(
-        store: ResultStore,
-    ) -> (String, Shutdown, thread::JoinHandle<io::Result<ServeStats>>) {
-        let shutdown = Shutdown::new();
+    fn bind(store: ResultStore, listen: &str, shutdown: &Shutdown) -> Server {
         let cfg = ServeConfig {
             read_timeout: Duration::from_millis(25),
             ..ServeConfig::default()
         };
-        let server = Server::bind(store, "127.0.0.1:0", cfg, shutdown.clone()).unwrap();
+        Server::bind(store, listen, cfg, shutdown.clone()).unwrap()
+    }
+
+    /// Runs `server` on its own thread; the result arrives on the
+    /// returned channel.
+    fn run_in_thread(server: Server) -> mpsc::Receiver<io::Result<ServeStats>> {
+        let (tx, rx) = mpsc::channel();
+        thread::spawn(move || {
+            let _ = tx.send(server.run());
+        });
+        rx
+    }
+
+    /// Waits for a drained server's counters. A lost wake-up fails the
+    /// test here instead of hanging it.
+    fn drained(running: mpsc::Receiver<io::Result<ServeStats>>) -> ServeStats {
+        running
+            .recv_timeout(Duration::from_secs(5))
+            .expect("server drains within 5 s of the trigger")
+            .expect("server drains cleanly")
+    }
+
+    /// Starts an in-process server over `store`, returning its
+    /// address, drain trigger, and result channel.
+    fn spawn_server(
+        store: ResultStore,
+    ) -> (String, Shutdown, mpsc::Receiver<io::Result<ServeStats>>) {
+        let shutdown = Shutdown::new();
+        let server = bind(store, "127.0.0.1:0", &shutdown);
         let addr = server.local_addr().unwrap().to_string();
-        let handle = thread::spawn(move || server.run());
-        (addr, shutdown, handle)
+        (addr, shutdown, run_in_thread(server))
     }
 
     #[test]
@@ -497,7 +571,7 @@ mod tests {
         );
 
         shutdown.trigger();
-        let stats = handle.join().unwrap().unwrap();
+        let stats = drained(handle);
         assert_eq!((stats.gets, stats.hits, stats.misses), (3, 2, 1));
         assert_eq!((stats.puts_accepted, stats.puts_rejected), (1, 0));
         assert_eq!(stats.records, 2);
@@ -545,7 +619,7 @@ mod tests {
         }
 
         shutdown.trigger();
-        let stats = handle.join().unwrap().unwrap();
+        let stats = drained(handle);
         assert_eq!(stats.puts_rejected, 3);
         assert_eq!(stats.puts_accepted, 0);
         assert!(
@@ -588,7 +662,7 @@ mod tests {
             other => panic!("{other:?}"),
         }
         shutdown.trigger();
-        handle.join().unwrap().unwrap();
+        drained(handle);
     }
 
     #[test]
@@ -609,9 +683,73 @@ mod tests {
         let fp = "dd".repeat(32);
         assert!(client.put("fig6", &rec(&fp, 4)));
         shutdown.trigger();
-        let stats = handle.join().unwrap().unwrap();
+        let stats = drained(handle);
         assert_eq!(stats.puts_accepted, 1);
         assert!(stats.errors >= 1);
+    }
+
+    #[test]
+    fn an_idle_server_drains_promptly() {
+        let scratch = Scratch::new("idle");
+        let (_addr, shutdown, handle) = spawn_server(scratch.store("server"));
+        // Let the accept loop block before the trigger.
+        thread::sleep(Duration::from_millis(50));
+        shutdown.trigger();
+        let stats = drained(handle);
+        assert_eq!(stats.requests, 0, "the wake-up connection is not served");
+        assert!(shutdown.wake_list().is_empty(), "run leaves the wake list");
+    }
+
+    #[test]
+    fn a_server_on_the_unspecified_address_is_woken_through_loopback() {
+        let scratch = Scratch::new("any");
+        let shutdown = Shutdown::new();
+        let server = bind(scratch.store("server"), "0.0.0.0:0", &shutdown);
+        let port = server.local_addr().unwrap().port();
+        assert_eq!(
+            *shutdown.wake_list(),
+            [SocketAddr::from((Ipv4Addr::LOCALHOST, port))]
+        );
+        let handle = run_in_thread(server);
+        thread::sleep(Duration::from_millis(50));
+        shutdown.trigger();
+        drained(handle);
+        assert!(shutdown.wake_list().is_empty());
+    }
+
+    #[test]
+    fn a_trigger_before_run_makes_run_return_immediately() {
+        let scratch = Scratch::new("early");
+        let shutdown = Shutdown::new();
+        let server = bind(scratch.store("server"), "127.0.0.1:0", &shutdown);
+        shutdown.trigger();
+        assert_eq!(drained(run_in_thread(server)), ServeStats::default());
+        // A second trigger finds nothing to wake.
+        assert!(shutdown.wake_list().is_empty());
+        shutdown.trigger();
+    }
+
+    #[test]
+    fn sequential_remote_gets_do_not_wait_on_the_accept_loop() {
+        let scratch = Scratch::new("latency");
+        let seed = scratch.store("server");
+        let fp = "ee".repeat(32);
+        seed.append("fig6", &rec(&fp, 5)).unwrap();
+        let (addr, shutdown, handle) = spawn_server(scratch.store("server"));
+        let client = fast_client(&addr);
+        let start = Instant::now();
+        for _ in 0..200 {
+            assert!(client.get("fig6", &fp).is_some());
+        }
+        let elapsed = start.elapsed();
+        shutdown.trigger();
+        assert_eq!(drained(handle).hits, 200);
+        // One connection per get: a server that polled its listener
+        // would add the poll interval to every one of them.
+        assert!(
+            elapsed < Duration::from_millis(500),
+            "200 gets took {elapsed:?}"
+        );
     }
 
     #[test]
