@@ -1,9 +1,10 @@
-//! Argument parsing and `main` bodies for the figure binaries and the
-//! `gm-run` driver.
+//! The `gm-run` front end: one declarative flag table per command (the
+//! experiment driver itself, `merge`, `bench`, `store` and `trace`), the
+//! single parser and help renderer they share, and each command's body.
 //!
 //! Parsing is strict: unknown flags, unknown workload names, and
-//! malformed values print usage and exit non-zero instead of being
-//! silently ignored.
+//! malformed values print usage and exit 2 instead of being silently
+//! ignored.
 //!
 //! Stream discipline: stdout carries only the report (tables, CSV,
 //! postambles) so it is byte-comparable across runs; everything
@@ -14,7 +15,7 @@ use crate::experiment::{self, apply_workload_filter, Experiment, ExperimentKind}
 use crate::fault::FaultPlan;
 use crate::merge;
 use crate::report::{experiment_json, report_text, run_experiment};
-use crate::runner::{Runner, Shard, Supervision};
+use crate::runner::{CacheStats, JobFailure, Runner, Shard, Supervision};
 use crate::telemetry::{self, Telemetry};
 use gm_results::{RemoteStore, ResultStore};
 use gm_stats::Json;
@@ -38,197 +39,345 @@ pub mod exit {
     pub const PARTIAL: i32 = 3;
 }
 
-/// Parsed command-line options, shared by `gm-run` and the per-figure
-/// binaries (which do not take `--list`/`--filter`/`--shard`).
-#[derive(Clone, Debug, PartialEq)]
-pub struct Options {
-    pub scale: Scale,
+/// One row of a command's flag table.
+struct Flag {
+    name: &'static str,
+    /// Placeholder for the flag's value; `None` for a switch.
+    value: Option<&'static str>,
+    /// Help text; each `\n` starts an aligned continuation line.
+    help: &'static str,
+}
+
+const fn flag(name: &'static str, value: &'static str, help: &'static str) -> Flag {
+    Flag {
+        name,
+        value: Some(value),
+        help,
+    }
+}
+
+const fn switch(name: &'static str, help: &'static str) -> Flag {
+    Flag {
+        name,
+        value: None,
+        help,
+    }
+}
+
+/// One command: how it is invoked, what it does, and every flag it
+/// accepts. [`Command::parse`] and [`Command::help`] both read this
+/// table, so a flag cannot be parsed without being documented.
+struct Command {
+    /// Program name in messages and usage lines, e.g. `gm-run bench`.
+    name: &'static str,
+    /// Usage forms, each printed after `name`.
+    synopsis: &'static [&'static str],
+    about: &'static str,
+    /// Most positional arguments the command takes (`usize::MAX`: any).
+    positionals: usize,
+    flags: &'static [Flag],
+    subcommands: &'static [&'static Command],
+    run: fn(Args),
+}
+
+/// A command line split against a [`Command`]'s flag table.
+struct Args {
+    /// Flags in the order given, with their values (`None` for switches).
+    flags: Vec<(&'static str, Option<String>)>,
+    positionals: Vec<String>,
+    help: bool,
+}
+
+#[rustfmt::skip]
+const SCALE: Flag = flag("--scale", "<test|bench|full>", "workload scale (default: test)");
+#[rustfmt::skip]
+const JOBS: Flag = flag("--jobs", "<N>", "worker threads (default: available parallelism)");
+#[rustfmt::skip]
+const WORKLOADS: Flag = flag("--workloads", "<a,b,...>", "restrict sweeps to the named workloads");
+#[rustfmt::skip]
+const FILTER: Flag = flag("--filter", "<SUBSTR>", "run only experiments whose name contains SUBSTR");
+
+const EXIT_CODES: &str = "exit codes:\n\
+     \x20 0  success\n\
+     \x20 1  hard failure (unreadable input, I/O error, failed check)\n\
+     \x20 2  usage error\n\
+     \x20 3  partial success (sweep completed, some jobs failed supervision)\n";
+
+#[rustfmt::skip]
+static MAIN: Command = Command {
+    name: "gm-run",
+    synopsis: &["[options]"],
+    about: "Reproduces the paper's figures and tables from the experiment registry:\n\
+            every experiment, or those --filter selects. `gm-run <command> --help`\n\
+            describes each command.",
+    positionals: 0,
+    flags: &[
+        SCALE,
+        JOBS,
+        flag("--json", "<PATH>", "write structured results to PATH"),
+        WORKLOADS,
+        flag("--store", "<DIR>", "result store: reuse cached job results, append new ones"),
+        switch("--expect-cached", "with --store: fail if any job had to be simulated\n\
+                                   (misses caused by store damage warn instead)"),
+        switch("--store-sync", "with --store: fsync every appended record"),
+        flag("--remote", "<ADDR>", "with --store: fetch/push job results through the\n\
+                                    gm-serve result service at ADDR; an unreachable or\n\
+                                    failing service degrades to local simulation"),
+        flag("--telemetry", "<FILE>", "append JSON-lines run/experiment/job span events to FILE"),
+        flag("--retries", "<N>", "extra attempts per failed job (default: 1)"),
+        flag("--budget", "<SECS>", "per-job wall-clock budget; over-budget jobs fail"),
+        switch("--strict", "exit 1 if any job failed (default: finish the sweep,\n\
+                            annotate the report, exit 3)"),
+        flag("--inject", "<SPEC>", "deterministic fault injection, e.g.\n\
+                                    panic:mcf/GhostMinion@1 (tests and CI smokes)"),
+        switch("--list", "list registered experiments and exit"),
+        FILTER,
+        flag("--shard", "<K/N>", "run the Kth of N job partitions (requires --json;\n\
+                                  recombine with gm-run merge)"),
+    ],
+    subcommands: &[&MERGE, &BENCH, &STORE, &TRACE],
+    run: run_main,
+};
+
+impl Command {
+    /// Splits `args` against the flag table. Unknown flags, a value flag
+    /// given no value, and surplus positionals are errors; `-h`/`--help`
+    /// anywhere asks for help.
+    fn parse(&self, args: &[String]) -> Result<Args, String> {
+        let mut parsed = Args {
+            flags: Vec::new(),
+            positionals: Vec::new(),
+            help: false,
+        };
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            if arg == "-h" || arg == "--help" {
+                parsed.help = true;
+            } else if let Some(flag) = self.flags.iter().find(|f| f.name == arg) {
+                let value = flag
+                    .value
+                    .map(|_| {
+                        it.next()
+                            .cloned()
+                            .ok_or_else(|| format!("{arg} requires a value"))
+                    })
+                    .transpose()?;
+                parsed.flags.push((flag.name, value));
+            } else if arg.starts_with('-') {
+                return Err(format!("unknown argument {arg:?}"));
+            } else if parsed.positionals.len() == self.positionals {
+                return Err(format!("unexpected argument {arg:?}"));
+            } else {
+                parsed.positionals.push(arg.clone());
+            }
+        }
+        Ok(parsed)
+    }
+
+    /// The `--help` text: usage forms (the driver's include its
+    /// subcommands'), the about text, the flag table, the exit codes.
+    fn help(&self) -> String {
+        let mut s = String::new();
+        let forms = std::iter::once(self)
+            .chain(self.subcommands.iter().copied())
+            .flat_map(|c| {
+                c.synopsis
+                    .iter()
+                    .map(move |form| format!("{} {form}", c.name))
+            });
+        for (i, form) in forms.enumerate() {
+            s.push_str(if i == 0 { "usage: " } else { "       " });
+            s.push_str(&form);
+            s.push('\n');
+        }
+        s.push_str(&format!("\n{}\n\noptions:\n", self.about));
+        let rows: Vec<(String, &str)> = self
+            .flags
+            .iter()
+            .map(|f| match f.value {
+                Some(v) => (format!("{} {v}", f.name), f.help),
+                None => (f.name.to_owned(), f.help),
+            })
+            .chain(std::iter::once(("-h, --help".to_owned(), "show this help")))
+            .collect();
+        let width = rows.iter().map(|(label, _)| label.len()).max().unwrap_or(0) + 2;
+        for (label, help) in &rows {
+            for (i, line) in help.lines().enumerate() {
+                let label = if i == 0 { label.as_str() } else { "" };
+                s.push_str(&format!("  {label:width$}{line}\n"));
+            }
+        }
+        s.push('\n');
+        s.push_str(EXIT_CODES);
+        s
+    }
+
+    /// Parses `args`, printing help (exit 0) or a usage error (exit 2)
+    /// when that is all there is to do.
+    fn parse_or_exit(&self, args: &[String]) -> Args {
+        match self.parse(args) {
+            Ok(parsed) if parsed.help => {
+                print!("{}", self.help());
+                std::process::exit(exit::OK);
+            }
+            Ok(parsed) => parsed,
+            Err(e) => usage_exit(self, &e),
+        }
+    }
+
+    /// The value of a typed conversion or cross-flag check, or a usage
+    /// error naming this command.
+    fn or_usage<T>(&self, result: Result<T, String>) -> T {
+        result.unwrap_or_else(|e| usage_exit(self, &e))
+    }
+}
+
+/// Prints `message` and the command's help to stderr and exits 2.
+fn usage_exit(cmd: &Command, message: &str) -> ! {
+    eprint!("{}: {message}\n\n{}", cmd.name, cmd.help());
+    std::process::exit(exit::USAGE);
+}
+
+impl Args {
+    fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(f, _)| *f == flag)
+    }
+
+    /// The value given with `flag`; the last one wins on repeats.
+    fn get(&self, flag: &str) -> Option<&str> {
+        self.flags
+            .iter()
+            .rev()
+            .find(|(f, _)| *f == flag)
+            .and_then(|(_, v)| v.as_deref())
+    }
+
+    fn owned(&self, flag: &str) -> Option<String> {
+        self.get(flag).map(str::to_owned)
+    }
+
+    /// `flag`'s value through `convert`; a value it rejects is reported
+    /// as `invalid <flag> "<value>" (expected <expected>)`.
+    fn typed<T>(
+        &self,
+        flag: &str,
+        expected: &str,
+        convert: impl FnOnce(&str) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        self.get(flag)
+            .map(|v| {
+                convert(v).ok_or_else(|| format!("invalid {flag} {v:?} (expected {expected})"))
+            })
+            .transpose()
+    }
+
+    fn scale(&self) -> Result<Scale, String> {
+        Ok(self
+            .typed("--scale", "test|bench|full", Scale::from_name)?
+            .unwrap_or(Scale::Test))
+    }
+
+    /// `--jobs`; 0 (the default) means available parallelism.
+    fn jobs(&self) -> Result<usize, String> {
+        Ok(self
+            .typed("--jobs", "a positive integer", |v| {
+                v.parse::<usize>().ok().filter(|&n| n > 0)
+            })?
+            .unwrap_or(0))
+    }
+
+    fn workloads(&self) -> Result<Option<Vec<String>>, String> {
+        self.typed("--workloads", "a comma-separated name list", |v| {
+            let names: Vec<String> = v.split(',').map(str::to_owned).collect();
+            (!names.iter().any(String::is_empty)).then_some(names)
+        })
+    }
+}
+
+/// `main` body of the `gm-run` binary: dispatches to a subcommand, or
+/// runs the experiment driver itself.
+pub fn gm_run_main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (cmd, rest) = match args.first() {
+        // Anything positional that is not a known subcommand is a typo
+        // (`gm-run benhc`).
+        Some(word) if !word.starts_with('-') => {
+            let sub = MAIN
+                .subcommands
+                .iter()
+                .find(|c| c.name.strip_prefix("gm-run ") == Some(word.as_str()))
+                .unwrap_or_else(|| usage_exit(&MAIN, &format!("unknown subcommand {word:?}")));
+            (*sub, &args[1..])
+        }
+        _ => (&MAIN, &args[..]),
+    };
+    (cmd.run)(cmd.parse_or_exit(rest));
+}
+
+/// The driver's options, after typed conversion and cross-flag checks.
+#[derive(Debug)]
+struct Options {
+    scale: Scale,
     /// Worker threads; 0 = available parallelism.
-    pub jobs: usize,
+    jobs: usize,
     /// Write structured results to this path.
-    pub json: Option<String>,
+    json: Option<String>,
     /// Restrict sweeps to these workload names.
-    pub workloads: Option<Vec<String>>,
+    workloads: Option<Vec<String>>,
     /// Result-store directory for cache-aware re-runs.
-    pub store: Option<String>,
+    store: Option<String>,
     /// With `store`: exit non-zero if any job was simulated (cache miss).
-    pub expect_cached: bool,
-    /// Run only this partition of the job list (gm-run only).
-    pub shard: Option<Shard>,
+    expect_cached: bool,
+    /// Run only this partition of the job list, writing a shard document.
+    shard: Option<Shard>,
     /// Append JSON-lines span telemetry to this path (see
     /// [`crate::telemetry`]).
-    pub telemetry: Option<String>,
+    telemetry: Option<String>,
     /// Extra attempts per failed job (`--retries`); `None` keeps the
     /// [`Supervision`] default of one retry.
-    pub retries: Option<u32>,
+    retries: Option<u32>,
     /// Per-job wall-clock budget in seconds (`--budget`).
-    pub budget: Option<u64>,
+    budget: Option<u64>,
     /// Fail the whole run (exit 1) if any supervised job failed, instead
     /// of reporting partial success (exit 3).
-    pub strict: bool,
+    strict: bool,
     /// Deterministic fault injection (`--inject`, parsed eagerly so a
     /// typo fails before hours of simulation).
-    pub inject: Option<FaultPlan>,
+    inject: Option<FaultPlan>,
     /// With `--store`: fsync every appended record (crash durability).
-    pub store_sync: bool,
+    store_sync: bool,
     /// Fetch/push job results through a `gm-serve` result service at
     /// this address (requires `--store`).
-    pub remote: Option<String>,
+    remote: Option<String>,
     /// List registered experiments instead of running.
-    pub list: bool,
-    /// Substring filter selecting experiments to run (gm-run only).
-    pub filter: Option<String>,
-    pub help: bool,
+    list: bool,
+    /// Substring filter selecting experiments to run.
+    filter: Option<String>,
 }
 
-impl Default for Options {
-    fn default() -> Self {
-        Self {
-            scale: Scale::Test,
-            jobs: 0,
-            json: None,
-            workloads: None,
-            store: None,
-            expect_cached: false,
-            shard: None,
-            telemetry: None,
-            retries: None,
-            budget: None,
-            strict: false,
-            inject: None,
-            store_sync: false,
-            remote: None,
-            list: false,
-            filter: None,
-            help: false,
-        }
-    }
-}
-
-/// Usage text. `selection` adds the `gm-run`-only flags.
-pub fn usage(program: &str, selection: bool) -> String {
-    let mut u = format!("usage: {program} [options]\n");
-    if selection {
-        u.push_str(
-            "       gm-run merge <SHARD.json>... [--json <PATH>] [--jobs <N>]\n\
-             \x20      gm-run bench [--scale <S>] [--jobs <N>] [--filter <SUBSTR>] [--json <PATH>]\n\
-             \x20                   [--check <BASELINE.json>]\n\
-             \x20      gm-run store <DIR> [--compact] [--gc] [--verify] [--purge-quarantine]\n\
-             \x20      gm-run trace <EXPERIMENT> [--workload <NAME>] [--scheme <LABEL>]\n\
-             \x20                   [--scale <S>] [--out <FILE>] [--summary]\n",
-        );
-    }
-    u.push_str(
-        "\n\
-         options:\n\
-         \x20 --scale <test|bench|full>  workload scale (default: test)\n\
-         \x20 --full                     alias for --scale full\n\
-         \x20 --bench                    alias for --scale bench\n\
-         \x20 --jobs <N>                 worker threads (default: available parallelism)\n\
-         \x20 --json <PATH>              write structured results to PATH\n\
-         \x20 --workloads <a,b,...>      restrict sweeps to the named workloads\n\
-         \x20 --store <DIR>              result store: reuse cached job results, append new ones\n\
-         \x20 --expect-cached            with --store: fail if any job had to be simulated\n\
-         \x20                            (misses caused by store damage warn instead)\n\
-         \x20 --store-sync               with --store: fsync every appended record\n\
-         \x20 --remote <ADDR>            with --store: fetch/push job results through the\n\
-         \x20                            gm-serve result service at ADDR; an unreachable or\n\
-         \x20                            failing service degrades to local simulation\n\
-         \x20 --telemetry <FILE>         append JSON-lines run/experiment/job span events to FILE\n\
-         \x20 --retries <N>              extra attempts per failed job (default: 1)\n\
-         \x20 --budget <SECS>            per-job wall-clock budget; over-budget jobs fail\n\
-         \x20 --strict                   exit 1 if any job failed (default: finish the sweep,\n\
-         \x20                            annotate the report, exit 3)\n\
-         \x20 --inject <SPEC>            deterministic fault injection, e.g.\n\
-         \x20                            panic:mcf/GhostMinion@1 (tests and CI smokes)\n\
-         \x20 --help                     show this help\n",
-    );
-    if selection {
-        u.push_str(
-            "\x20 --list                     list registered experiments and exit\n\
-             \x20 --filter <SUBSTR>          run only experiments whose name contains SUBSTR\n\
-             \x20 --shard <K/N>              run the Kth of N job partitions (requires --json;\n\
-             \x20                            recombine with gm-run merge)\n",
-        );
-    }
-    u.push_str(
-        "\n\
-         exit codes:\n\
-         \x20 0  success\n\
-         \x20 1  hard failure (unreadable input, I/O error, failed check)\n\
-         \x20 2  usage error\n\
-         \x20 3  partial success (sweep completed, some jobs failed supervision)\n",
-    );
-    u
-}
-
-/// Parses `args` (without the program name). `selection` enables
-/// `--list`/`--filter`/`--shard`. Returns a human-readable error for
-/// unknown flags, missing values, malformed values, and inconsistent
-/// combinations.
-pub fn parse(args: &[String], selection: bool) -> Result<Options, String> {
-    let mut opts = Options::default();
-    let mut it = args.iter();
-    let value = |flag: &str, it: &mut std::slice::Iter<String>| {
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("{flag} requires a value"))
+/// Converts the driver's flags and rejects malformed values and
+/// inconsistent combinations.
+fn options(a: &Args) -> Result<Options, String> {
+    let opts = Options {
+        scale: a.scale()?,
+        jobs: a.jobs()?,
+        json: a.owned("--json"),
+        workloads: a.workloads()?,
+        store: a.owned("--store"),
+        expect_cached: a.has("--expect-cached"),
+        shard: a.get("--shard").map(Shard::parse).transpose()?,
+        telemetry: a.owned("--telemetry"),
+        retries: a.typed("--retries", "a non-negative integer", |v| v.parse().ok())?,
+        budget: a.typed("--budget", "seconds, a positive integer", |v| {
+            v.parse::<u64>().ok().filter(|&n| n > 0)
+        })?,
+        strict: a.has("--strict"),
+        inject: a.get("--inject").map(FaultPlan::parse).transpose()?,
+        store_sync: a.has("--store-sync"),
+        remote: a.owned("--remote"),
+        list: a.has("--list"),
+        filter: a.owned("--filter"),
     };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--scale" => {
-                let v = value("--scale", &mut it)?;
-                opts.scale = Scale::from_name(&v)
-                    .ok_or_else(|| format!("invalid --scale {v:?} (expected test|bench|full)"))?;
-            }
-            "--full" => opts.scale = Scale::Full,
-            "--bench" => opts.scale = Scale::Bench,
-            "--jobs" => {
-                let v = value("--jobs", &mut it)?;
-                opts.jobs =
-                    v.parse::<usize>().ok().filter(|&n| n > 0).ok_or_else(|| {
-                        format!("invalid --jobs {v:?} (expected a positive integer)")
-                    })?;
-            }
-            "--json" => opts.json = Some(value("--json", &mut it)?),
-            "--workloads" => {
-                let v = value("--workloads", &mut it)?;
-                let names: Vec<String> = v.split(',').map(str::to_owned).collect();
-                if names.iter().any(String::is_empty) {
-                    return Err(format!(
-                        "invalid --workloads {v:?} (expected a comma-separated name list)"
-                    ));
-                }
-                opts.workloads = Some(names);
-            }
-            "--store" => opts.store = Some(value("--store", &mut it)?),
-            "--expect-cached" => opts.expect_cached = true,
-            "--store-sync" => opts.store_sync = true,
-            "--remote" => opts.remote = Some(value("--remote", &mut it)?),
-            "--telemetry" => opts.telemetry = Some(value("--telemetry", &mut it)?),
-            "--retries" => {
-                let v = value("--retries", &mut it)?;
-                opts.retries = Some(v.parse::<u32>().map_err(|_| {
-                    format!("invalid --retries {v:?} (expected a non-negative integer)")
-                })?);
-            }
-            "--budget" => {
-                let v = value("--budget", &mut it)?;
-                opts.budget = Some(v.parse::<u64>().ok().filter(|&n| n > 0).ok_or_else(|| {
-                    format!("invalid --budget {v:?} (expected seconds, a positive integer)")
-                })?);
-            }
-            "--strict" => opts.strict = true,
-            "--inject" => opts.inject = Some(FaultPlan::parse(&value("--inject", &mut it)?)?),
-            "--shard" if selection => {
-                opts.shard = Some(Shard::parse(&value("--shard", &mut it)?)?);
-            }
-            "--list" if selection => opts.list = true,
-            "--filter" if selection => opts.filter = Some(value("--filter", &mut it)?),
-            "--help" | "-h" => opts.help = true,
-            other => return Err(format!("unknown argument {other:?}")),
-        }
-    }
     if opts.expect_cached && opts.store.is_none() {
         return Err("--expect-cached requires --store".into());
     }
@@ -238,7 +387,7 @@ pub fn parse(args: &[String], selection: bool) -> Result<Options, String> {
     if opts.remote.is_some() && opts.store.is_none() {
         return Err("--remote requires --store (remote hits land in the local store)".into());
     }
-    if opts.shard.is_some() && opts.json.is_none() && !opts.list && !opts.help {
+    if opts.shard.is_some() && opts.json.is_none() && !opts.list {
         return Err("--shard requires --json (the shard document is the run's output)".into());
     }
     // Mirrors the bench `--check`/`--json` collision guard: the
@@ -254,20 +403,55 @@ pub fn parse(args: &[String], selection: bool) -> Result<Options, String> {
     Ok(opts)
 }
 
-fn parse_or_exit(program: &str, args: &[String], selection: bool) -> Options {
-    match parse(args, selection) {
-        Ok(opts) => {
-            if opts.help {
-                print!("{}", usage(program, selection));
-                std::process::exit(exit::OK);
-            }
-            opts
+/// The experiment driver: `--list`, or run the selected experiments.
+fn run_main(a: Args) {
+    let opts = MAIN.or_usage(options(&a));
+    if opts.list {
+        // --list respects --filter, so a filter can be previewed
+        // without running it.
+        let mut t = gm_stats::Table::new(vec!["experiment".into(), "title".into()]);
+        for e in experiment::matching(opts.filter.as_deref().unwrap_or("")) {
+            t.row(vec![e.name.to_owned(), e.title.to_owned()]);
         }
-        Err(e) => {
-            eprint!("{program}: {e}\n\n{}", usage(program, selection));
-            std::process::exit(exit::USAGE);
-        }
+        print!("{}", t.render());
+        return;
     }
+    let selected = select(&MAIN, opts.filter.as_deref(), opts.workloads.as_deref());
+    run_and_emit(MAIN.name, &selected, &opts);
+}
+
+/// The experiments a command line selects: those `filter` matches,
+/// restricted to `workloads`, minus the sweeps that restriction emptied
+/// (a name can be valid for one suite and absent from another, e.g.
+/// `mcf` exists in SPEC2006 but not Parsec). Each dropped sweep is
+/// noted on stderr rather than printed as a header-only table. An empty
+/// match is a failure; an unknown workload is a usage error.
+fn select(cmd: &Command, filter: Option<&str>, workloads: Option<&[String]>) -> Vec<Experiment> {
+    let mut selected = experiment::matching(filter.unwrap_or(""));
+    if selected.is_empty() {
+        fail(
+            cmd.name,
+            &format!(
+                "no experiment matches {:?} (try gm-run --list)",
+                filter.unwrap_or("")
+            ),
+        );
+    }
+    if let Some(names) = workloads {
+        cmd.or_usage(apply_workload_filter(&mut selected, names));
+        selected.retain(|e| {
+            let emptied = matches!(&e.kind,
+                ExperimentKind::Sweep(s) if s.workloads.as_deref() == Some(&[]));
+            if emptied {
+                eprintln!(
+                    "{}: {}: no selected workload is in this suite, skipping",
+                    cmd.name, e.name
+                );
+            }
+            !emptied
+        });
+    }
+    selected
 }
 
 fn fail(program: &str, message: &str) -> ! {
@@ -317,15 +501,15 @@ fn exit_partial(program: &str, failed: usize) {
     if failed > 0 {
         eprintln!(
             "{program}: partial success: {failed} job(s) failed permanently \
-             (see the '!! job failed' report lines); exiting 3"
+             (see the 'job failed' lines); exiting 3"
         );
         std::process::exit(exit::PARTIAL);
     }
 }
 
 /// Writes the combined JSON document if `--json` was given.
-fn write_json(program: &str, opts_json: Option<&String>, doc: &Json) {
-    if let Some(path) = opts_json {
+fn write_json(program: &str, path: Option<&str>, doc: &Json) {
+    if let Some(path) = path {
         if let Err(e) = std::fs::write(path, doc.render() + "\n") {
             fail(program, &format!("cannot write {path:?}: {e}"));
         }
@@ -333,8 +517,6 @@ fn write_json(program: &str, opts_json: Option<&String>, doc: &Json) {
     }
 }
 
-/// Compacts the store files this run touched, reporting anything that
-/// was actually rewritten.
 /// Compacts one experiment's store file, reporting to stderr only when
 /// something was actually dropped. Shared by post-run compaction and
 /// `gm-run store --compact` so the report/warning policy cannot drift.
@@ -346,14 +528,6 @@ fn compact_one(program: &str, store: &ResultStore, experiment: &str) {
         ),
         Ok(_) => {}
         Err(e) => eprintln!("warning: store compaction for {experiment} failed: {e}"),
-    }
-}
-
-fn compact_store(program: &str, store: &ResultStore, experiments: &[Experiment]) {
-    for exp in experiments {
-        if matches!(exp.kind, ExperimentKind::Sweep(_)) {
-            compact_one(program, store, exp.name);
-        }
     }
 }
 
@@ -394,12 +568,12 @@ fn mcycles_per_s(sim_cycles: u64, sim_wall_us: u64) -> f64 {
 
 /// Opens the telemetry stream named by `--telemetry` (if any) and
 /// emits its `run_start` event.
-fn open_telemetry(program: &str, opts: &Options, shard: Option<Shard>) -> Option<Telemetry> {
+fn open_telemetry(program: &str, opts: &Options) -> Option<Telemetry> {
     opts.telemetry.as_ref().map(|path| {
         let tel = Telemetry::create(path).unwrap_or_else(|e| fail(program, &e));
         tel.emit("run_start", |j| {
             j.set("program", program).set("scale", opts.scale.name());
-            if let Some(shard) = shard {
+            if let Some(shard) = opts.shard {
                 j.set("shard", shard.to_string());
             }
         });
@@ -428,100 +602,56 @@ fn close_telemetry(
     );
 }
 
-/// Runs `experiments` unsharded, printing each report and writing the
-/// combined JSON if requested.
-fn run_and_emit(program: &str, experiments: &[Experiment], opts: &Options) {
-    let store = open_store(program, opts);
-    let telemetry = open_telemetry(program, opts, None);
-    let runner = build_runner(opts);
-    let mut emitted = Vec::new();
-    let mut misses = 0usize;
-    let mut corrupt = 0usize;
-    let mut failed = 0usize;
-    for exp in experiments {
-        let out = run_experiment(&runner, exp, opts.scale, store.as_ref(), telemetry.as_ref())
-            .unwrap_or_else(|e| fail(program, &format!("{}: {e}", exp.name)));
-        print!("{}", report_text(exp.title, &out));
-        if matches!(exp.kind, ExperimentKind::Sweep(_)) {
-            let mut line = format!(
-                "{program}: {}: {} job(s), {} cached, {} simulated in {:.2}s",
-                exp.name,
-                out.cache.hits + out.cache.misses,
-                out.cache.hits,
-                out.cache.misses,
-                seconds(out.sim_wall_us),
-            );
-            if out.cache.misses > 0 {
-                line.push_str(&format!(
-                    " at {:.1} Mcycles/s",
-                    mcycles_per_s(out.sim_cycles, out.sim_wall_us)
-                ));
-            }
-            if opts.remote.is_some() {
-                line.push_str(&format!(
-                    ", remote: {} fetched, {} pushed",
-                    out.cache.remote_hits, out.cache.remote_pushes
-                ));
-            }
-            if let Some((label, us)) = &out.slowest {
-                line.push_str(&format!(" (slowest {label} {:.2}s)", seconds(*us)));
-            }
-            if !out.failures.is_empty() {
-                line.push_str(&format!(", {} FAILED", out.failures.len()));
-            }
-            eprintln!("{line}");
-        }
-        misses += out.cache.misses;
-        corrupt += out.cache.corrupt;
-        failed += out.failures.len();
-        if opts.json.is_some() {
-            emitted.push(experiment_json(exp, opts.scale, &out));
-        }
-    }
-    let mut doc = Json::object();
-    doc.set("generator", program)
-        .set("scale", opts.scale.name())
-        .set("experiments", Json::Array(emitted));
-    write_json(program, opts.json.as_ref(), &doc);
-    close_telemetry(program, opts, telemetry, experiments.len());
-    if let Some(store) = &store {
-        compact_store(program, store, experiments);
-    }
-    enforce_expect_cached(program, opts, misses, corrupt);
-    exit_partial(program, failed);
+/// What one sweep's stderr summary line reports.
+struct SweepTally {
+    cache: CacheStats,
+    sim_wall_us: u64,
+    sim_cycles: u64,
+    slowest: Option<(String, u64)>,
+    failures: Vec<JobFailure>,
 }
 
-/// Runs one shard of `experiments`: no stdout report (a shard cannot
-/// render normalised tables), just the shard JSON document plus stderr
-/// telemetry. Non-sweep experiments run on shard 1 only.
-fn run_shard_and_emit(program: &str, experiments: &[Experiment], opts: &Options, shard: Shard) {
+/// Runs `experiments` over the `--shard` partition, or over
+/// `Shard::full()` without one. A whole run prints each report and
+/// writes the combined results document. A `--shard` run cannot render
+/// normalised tables — the baseline job may live on another machine —
+/// so it writes only its shard document for `gm-run merge`; non-sweep
+/// experiments run on shard 1 only.
+fn run_and_emit(program: &str, experiments: &[Experiment], opts: &Options) {
+    let shard = opts.shard.unwrap_or_else(Shard::full);
+    let scope = opts.shard.map_or(String::new(), |s| format!("shard {s}: "));
     let store = open_store(program, opts);
-    let telemetry = open_telemetry(program, opts, Some(shard));
+    let telemetry = open_telemetry(program, opts);
     let runner = build_runner(opts);
     let mut entries = Vec::new();
-    let mut misses = 0usize;
-    let mut corrupt = 0usize;
-    let mut failed = 0usize;
-    let mut ran = 0usize;
+    let (mut misses, mut corrupt, mut failed, mut ran) = (0usize, 0usize, 0usize, 0usize);
     for exp in experiments {
-        match &exp.kind {
-            ExperimentKind::Sweep(sweep) => {
-                if let Some(tel) = &telemetry {
+        let sweep = match &exp.kind {
+            ExperimentKind::Sweep(sweep) => Some(sweep),
+            _ if shard.index() != 1 => {
+                eprintln!(
+                    "{program}: {scope}{}: non-sweep experiments run on shard 1, skipping",
+                    exp.name
+                );
+                continue;
+            }
+            _ => None,
+        };
+        let tally = match (opts.shard, sweep) {
+            // The shard document needs the raw job grid, which
+            // `run_experiment` does not return; bracket the sweep with
+            // the same telemetry span `run_experiment` emits.
+            (Some(_), Some(sweep)) => {
+                let tel = telemetry.as_ref();
+                if let Some(tel) = tel {
                     tel.emit("experiment_start", |j| {
                         j.set("experiment", exp.name);
                     });
                 }
                 let run = runner
-                    .run_sweep_shard(
-                        sweep,
-                        opts.scale,
-                        exp.name,
-                        store.as_ref(),
-                        shard,
-                        telemetry.as_ref(),
-                    )
+                    .run_sweep_shard(sweep, opts.scale, exp.name, store.as_ref(), shard, tel)
                     .unwrap_or_else(|e| fail(program, &format!("{}: {e}", exp.name)));
-                if let Some(tel) = &telemetry {
+                if let Some(tel) = tel {
                     tel.emit("experiment_end", |j| {
                         j.set("experiment", exp.name)
                             .set("jobs", run.owned_jobs())
@@ -533,260 +663,162 @@ fn run_shard_and_emit(program: &str, experiments: &[Experiment], opts: &Options,
                         }
                     });
                 }
-                ran += 1;
-                let mut line = format!(
-                    "{program}: shard {shard}: {}: {}/{} job(s), {} cached, {} simulated in {:.2}s at {:.1} Mcycles/s",
-                    exp.name,
-                    run.owned_jobs(),
-                    run.total_jobs(),
-                    run.cache.hits,
-                    run.cache.misses,
-                    seconds(run.sim_wall_us()),
-                    mcycles_per_s(run.sim_cycles(), run.sim_wall_us()),
-                );
-                if opts.remote.is_some() {
-                    line.push_str(&format!(
-                        ", remote: {} fetched, {} pushed",
-                        run.cache.remote_hits, run.cache.remote_pushes
-                    ));
+                entries.push(merge::shard_entry(exp, opts.scale, &run, sweep));
+                SweepTally {
+                    cache: run.cache,
+                    sim_wall_us: run.sim_wall_us(),
+                    sim_cycles: run.sim_cycles(),
+                    slowest: run.slowest_sim(sweep),
+                    failures: run.failures,
                 }
-                if !run.failures.is_empty() {
-                    line.push_str(&format!(", {} FAILED", run.failures.len()));
-                    for f in &run.failures {
-                        eprintln!("{program}: shard {shard}: job failed: {f}");
+            }
+            _ => {
+                let out =
+                    run_experiment(&runner, exp, opts.scale, store.as_ref(), telemetry.as_ref())
+                        .unwrap_or_else(|e| fail(program, &format!("{}: {e}", exp.name)));
+                if opts.shard.is_some() {
+                    entries.push(merge::shard_nonsweep_entry(exp, opts.scale, &out));
+                } else {
+                    print!("{}", report_text(exp.title, &out));
+                    if opts.json.is_some() {
+                        entries.push(experiment_json(exp, opts.scale, &out));
                     }
                 }
-                eprintln!("{line}");
-                misses += run.cache.misses;
-                corrupt += run.cache.corrupt;
-                failed += run.failures.len();
-                entries.push(merge::shard_entry(exp, opts.scale, &run, sweep));
-            }
-            ExperimentKind::Security | ExperimentKind::Table1 => {
-                if shard.index() != 1 {
-                    eprintln!(
-                        "{program}: shard {shard}: {}: non-sweep experiments run on shard 1, skipping",
-                        exp.name
-                    );
-                    continue;
+                SweepTally {
+                    cache: out.cache,
+                    sim_wall_us: out.sim_wall_us,
+                    sim_cycles: out.sim_cycles,
+                    slowest: out.slowest,
+                    failures: out.failures,
                 }
-                let out = run_experiment(&runner, exp, opts.scale, None, telemetry.as_ref())
-                    .unwrap_or_else(|e| fail(program, &format!("{}: {e}", exp.name)));
-                ran += 1;
-                entries.push(merge::shard_nonsweep_entry(exp, opts.scale, &out));
             }
+        };
+        ran += 1;
+        if sweep.is_some() {
+            eprintln!("{}", summary_line(program, &scope, exp.name, opts, &tally));
         }
+        misses += tally.cache.misses;
+        corrupt += tally.cache.corrupt;
+        failed += tally.failures.len();
     }
-    let doc = merge::shard_doc(program, opts.scale, shard, entries);
-    write_json(program, opts.json.as_ref(), &doc);
+    let doc = match opts.shard {
+        Some(shard) => merge::shard_doc(program, opts.scale, shard, entries),
+        None => {
+            let mut doc = Json::object();
+            doc.set("generator", program)
+                .set("scale", opts.scale.name())
+                .set("experiments", Json::Array(entries));
+            doc
+        }
+    };
+    write_json(program, opts.json.as_deref(), &doc);
     close_telemetry(program, opts, telemetry, ran);
     if let Some(store) = &store {
-        compact_store(program, store, experiments);
+        for exp in experiments {
+            if matches!(exp.kind, ExperimentKind::Sweep(_)) {
+                compact_one(program, store, exp.name);
+            }
+        }
     }
     enforce_expect_cached(program, opts, misses, corrupt);
     exit_partial(program, failed);
 }
 
-/// Applies `--workloads`, then dispatches to the unsharded or sharded
-/// run path.
-fn run_selected(program: &str, mut experiments: Vec<Experiment>, opts: &Options, selection: bool) {
-    if let Some(names) = &opts.workloads {
-        if let Err(e) = apply_workload_filter(&mut experiments, names) {
-            eprint!("{program}: {e}\n\n{}", usage(program, selection));
-            std::process::exit(exit::USAGE);
-        }
-        // A name can be valid for one suite and absent from another
-        // (e.g. `mcf` exists in SPEC2006 but not Parsec). Skip sweeps
-        // the filter emptied — loudly — rather than printing header-only
-        // tables for them.
-        experiments.retain(|e| {
-            let emptied = matches!(&e.kind,
-                ExperimentKind::Sweep(s) if s.workloads.as_deref() == Some(&[]));
-            if emptied {
-                eprintln!(
-                    "{program}: {}: no selected workload is in this suite, skipping",
-                    e.name
-                );
-            }
-            !emptied
-        });
-        if experiments.is_empty() {
-            fail(program, "--workloads left no experiment to run");
-        }
+/// The stderr summary of one sweep (`scope` names the shard, if any),
+/// preceded by one line per failed job.
+fn summary_line(
+    program: &str,
+    scope: &str,
+    name: &str,
+    opts: &Options,
+    tally: &SweepTally,
+) -> String {
+    let mut text = String::new();
+    for f in &tally.failures {
+        text.push_str(&format!("{program}: {scope}job failed: {f}\n"));
     }
-    match opts.shard {
-        Some(shard) => run_shard_and_emit(program, &experiments, opts, shard),
-        None => run_and_emit(program, &experiments, opts),
+    let cache = &tally.cache;
+    text.push_str(&format!(
+        "{program}: {scope}{name}: {} job(s), {} cached, {} simulated in {:.2}s",
+        cache.hits + cache.misses,
+        cache.hits,
+        cache.misses,
+        seconds(tally.sim_wall_us),
+    ));
+    if cache.misses > 0 {
+        text.push_str(&format!(
+            " at {:.1} Mcycles/s",
+            mcycles_per_s(tally.sim_cycles, tally.sim_wall_us)
+        ));
     }
+    if opts.remote.is_some() {
+        text.push_str(&format!(
+            ", remote: {} fetched, {} pushed",
+            cache.remote_hits, cache.remote_pushes
+        ));
+    }
+    if let Some((label, us)) = &tally.slowest {
+        text.push_str(&format!(" (slowest {label} {:.2}s)", seconds(*us)));
+    }
+    if !tally.failures.is_empty() {
+        text.push_str(&format!(", {} FAILED", tally.failures.len()));
+    }
+    text
 }
 
-/// `main` body of a single-figure binary: strict flag parsing, then the
-/// named registry experiment.
-pub fn figure_main(name: &str) {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = parse_or_exit(name, &args, false);
-    let exp =
-        experiment::find(name).unwrap_or_else(|| panic!("{name} is not a registered experiment"));
-    run_selected(name, vec![exp], &opts, false);
-}
-
-/// `main` body of the `gm-run` driver: the `merge` subcommand, `--list`,
-/// `--filter`, or the whole registry.
-pub fn gm_run_main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("merge") => {
-            merge_main(&args[1..]);
-            return;
-        }
-        Some("bench") => {
-            bench_main(&args[1..]);
-            return;
-        }
-        Some("store") => {
-            store_main(&args[1..]);
-            return;
-        }
-        Some("trace") => {
-            trace_main(&args[1..]);
-            return;
-        }
-        // Anything positional that is not a known subcommand is a typo
-        // (`gm-run benhc`): usage to stderr and exit 2, consistent with
-        // the strict flag parsing below.
-        Some(cmd) if !cmd.starts_with('-') => {
-            eprint!(
-                "gm-run: unknown subcommand {cmd:?}\n\n{}",
-                usage("gm-run", true)
-            );
-            std::process::exit(exit::USAGE);
-        }
-        _ => {}
-    }
-    let opts = parse_or_exit("gm-run", &args, true);
-    let selected = match &opts.filter {
-        Some(pattern) => experiment::matching(pattern),
-        None => experiment::registry(),
-    };
-    if opts.list {
-        // --list respects --filter, so a filter can be previewed
-        // without running it.
-        let mut t = gm_stats::Table::new(vec!["experiment".into(), "title".into()]);
-        for e in &selected {
-            t.row(vec![e.name.to_owned(), e.title.to_owned()]);
-        }
-        print!("{}", t.render());
-        return;
-    }
-    if selected.is_empty() {
-        eprintln!(
-            "gm-run: no experiment matches {:?} (try --list)",
-            opts.filter.as_deref().unwrap_or("")
-        );
-        std::process::exit(exit::FAILURE);
-    }
-    run_selected("gm-run", selected, &opts, true);
-}
-
-fn trace_usage() -> String {
-    "usage: gm-run trace <EXPERIMENT> [--workload <NAME>] [--scheme <LABEL>]\n\
-     \x20                  [--scale <test|bench|full>] [--out <FILE>] [--summary]\n\
-     \x20      gm-run trace --validate <TRACE.txt>\n\
-     \x20      gm-run trace --validate-telemetry <EVENTS.jsonl>\n\
-     \n\
-     Runs ONE (workload \u{d7} scheme) job of a sweep experiment with\n\
-     per-instruction pipeline tracing attached. --out streams a gem5\n\
-     O3PipeView-format text trace (loadable in the Konata viewer);\n\
-     --summary prints a guest-cycle attribution table to stdout — per\n\
-     functional-unit class, the cycles lost to FU waits, STT taint\n\
-     parking, store-forward blocking, and squashed work. With neither\n\
-     flag, --summary is the default; both may be combined (the run is\n\
-     traced once and the stream teed).\n\
-     \n\
-     --workload defaults to the experiment's first workload unit and\n\
-     --scheme (matched against the column label or scheme name) to its\n\
-     first lineup column. Tracing never perturbs the simulation: a\n\
-     traced run's cycle count and fingerprint are identical to an\n\
-     untraced one (tested by tests/trace_neutrality.rs).\n\
-     \n\
-     --validate / --validate-telemetry parse a previously written trace\n\
-     or telemetry stream with the strict in-repo checkers and exit\n\
-     non-zero on any malformation — the CI smoke gate.\n"
-        .to_owned()
-}
+#[rustfmt::skip]
+static TRACE: Command = Command {
+    name: "gm-run trace",
+    synopsis: &[
+        "<EXPERIMENT> [options]",
+        "--validate <TRACE.txt>",
+        "--validate-telemetry <EVENTS.jsonl>",
+    ],
+    about: "Runs ONE (workload \u{d7} scheme) job of a sweep experiment with\n\
+            per-instruction pipeline tracing attached. With neither --out nor\n\
+            --summary, --summary is the default; both may be combined (the run is\n\
+            traced once and the stream teed). Tracing never perturbs the\n\
+            simulation: a traced run's cycle count and fingerprint are identical\n\
+            to an untraced one (tested by tests/trace_neutrality.rs).",
+    positionals: 1,
+    flags: &[
+        flag("--workload", "<NAME>", "the job's workload (default: the first unit)"),
+        flag("--scheme", "<LABEL>", "the job's column label or scheme name (default: the first)"),
+        SCALE,
+        flag("--out", "<FILE>", "stream a gem5 O3PipeView-format text trace to FILE\n\
+                                 (loadable in the Konata viewer)"),
+        switch("--summary", "print a guest-cycle attribution table: per FU class, the\n\
+                             cycles lost to FU waits, STT taint parking, store-forward\n\
+                             blocking, and squashed work"),
+        flag("--validate", "<TRACE.txt>", "check a written trace with the strict in-repo parser;\n\
+                                           exit 1 on any malformation (the CI smoke gate)"),
+        flag("--validate-telemetry", "<EVENTS.jsonl>", "check a --telemetry stream the same way"),
+    ],
+    subcommands: &[],
+    run: trace_main,
+};
 
 /// `gm-run trace`: one traced (workload × scheme) job, or validation of
 /// previously emitted trace/telemetry files.
-fn trace_main(args: &[String]) {
+fn trace_main(a: Args) {
     use gm_sim::TraceSink;
     use gm_trace::{validate_o3, O3PipeViewSink, SummarySink, Tee};
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    let program = "gm-run trace";
-    let mut experiment_name: Option<String> = None;
-    let mut workload: Option<String> = None;
-    let mut scheme_label: Option<String> = None;
-    let mut scale = Scale::Test;
-    let mut out: Option<String> = None;
-    let mut summary = false;
-    let mut validate_trace: Option<String> = None;
-    let mut validate_telemetry: Option<String> = None;
-    let mut it = args.iter();
-    let value = |flag: &str, it: &mut std::slice::Iter<String>| -> String {
-        it.next().cloned().unwrap_or_else(|| {
-            eprint!("{program}: {flag} requires a value\n\n{}", trace_usage());
-            std::process::exit(exit::USAGE);
-        })
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--workload" => workload = Some(value("--workload", &mut it)),
-            "--scheme" => scheme_label = Some(value("--scheme", &mut it)),
-            "--scale" => {
-                let v = value("--scale", &mut it);
-                scale = Scale::from_name(&v).unwrap_or_else(|| {
-                    eprint!(
-                        "{program}: invalid --scale {v:?} (expected test|bench|full)\n\n{}",
-                        trace_usage()
-                    );
-                    std::process::exit(exit::USAGE);
-                });
-            }
-            "--out" => out = Some(value("--out", &mut it)),
-            "--summary" => summary = true,
-            "--validate" => validate_trace = Some(value("--validate", &mut it)),
-            "--validate-telemetry" => {
-                validate_telemetry = Some(value("--validate-telemetry", &mut it));
-            }
-            "--help" | "-h" => {
-                print!("{}", trace_usage());
-                std::process::exit(exit::OK);
-            }
-            flag if flag.starts_with('-') => {
-                eprint!("{program}: unknown argument {flag:?}\n\n{}", trace_usage());
-                std::process::exit(exit::USAGE);
-            }
-            name if experiment_name.is_none() => experiment_name = Some(name.to_owned()),
-            extra => {
-                eprint!(
-                    "{program}: unexpected argument {extra:?}\n\n{}",
-                    trace_usage()
-                );
-                std::process::exit(exit::USAGE);
-            }
-        }
-    }
+    let program = TRACE.name;
+    let scale = TRACE.or_usage(a.scale());
+    let experiment_name = a.positionals.first();
+    let out = a.get("--out");
+    let summary = a.has("--summary");
+    let validate_trace = a.get("--validate");
+    let validate_telemetry = a.get("--validate-telemetry");
     // Validation modes stand alone: they read files, they run nothing.
     if validate_trace.is_some() || validate_telemetry.is_some() {
         if experiment_name.is_some() || out.is_some() || summary {
-            eprint!(
-                "{program}: --validate modes take only a file argument\n\n{}",
-                trace_usage()
-            );
-            std::process::exit(exit::USAGE);
+            usage_exit(&TRACE, "--validate modes take only a file argument");
         }
-        if let Some(path) = &validate_trace {
+        if let Some(path) = validate_trace {
             let text = std::fs::read_to_string(path)
                 .unwrap_or_else(|e| fail(program, &format!("cannot read {path:?}: {e}")));
             let r = validate_o3(&text)
@@ -797,7 +829,7 @@ fn trace_main(args: &[String]) {
                 r.instructions, r.retired, r.squashed
             );
         }
-        if let Some(path) = &validate_telemetry {
+        if let Some(path) = validate_telemetry {
             let text = std::fs::read_to_string(path)
                 .unwrap_or_else(|e| fail(program, &format!("cannot read {path:?}: {e}")));
             let s = telemetry::validate(&text)
@@ -815,10 +847,9 @@ fn trace_main(args: &[String]) {
         return;
     }
     let Some(exp_name) = experiment_name else {
-        eprint!("{program}: trace needs an experiment\n\n{}", trace_usage());
-        std::process::exit(exit::USAGE);
+        usage_exit(&TRACE, "trace needs an experiment");
     };
-    let exp = experiment::find(&exp_name).unwrap_or_else(|| {
+    let exp = experiment::find(exp_name).unwrap_or_else(|| {
         fail(
             program,
             &format!("unknown experiment {exp_name:?} (try gm-run --list)"),
@@ -828,7 +859,7 @@ fn trace_main(args: &[String]) {
         fail(program, &format!("{exp_name} is not a sweep experiment"));
     };
     let set = sweep.workload_set(scale);
-    let unit = match &workload {
+    let unit = match a.get("--workload") {
         Some(name) => set
             .units
             .iter()
@@ -842,11 +873,11 @@ fn trace_main(args: &[String]) {
             }),
         None => &set.units[0],
     };
-    let col = match &scheme_label {
+    let col = match a.get("--scheme") {
         Some(label) => sweep
             .schemes
             .iter()
-            .find(|c| &c.label == label || c.scheme.name() == label)
+            .find(|c| c.label == label || c.scheme.name() == label)
             .unwrap_or_else(|| {
                 let labels: Vec<&str> = sweep.schemes.iter().map(|c| c.label.as_str()).collect();
                 fail(
@@ -858,7 +889,7 @@ fn trace_main(args: &[String]) {
     };
     // With no --out, the summary is the only output worth running for.
     let summary = summary || out.is_none();
-    let o3 = out.as_ref().map(|path| {
+    let o3 = out.map(|path| {
         let file = std::fs::File::create(path)
             .unwrap_or_else(|e| fail(program, &format!("cannot create {path:?}: {e}")));
         Rc::new(RefCell::new(O3PipeViewSink::new(std::io::BufWriter::new(
@@ -894,38 +925,69 @@ fn trace_main(args: &[String]) {
         if let Err(e) = o3.borrow_mut().finish() {
             fail(program, &format!("cannot write trace: {e}"));
         }
-        eprintln!("{program}: wrote {}", out.as_deref().unwrap_or(""));
+        eprintln!("{program}: wrote {}", out.unwrap_or(""));
     }
     if let Some(sum) = &sum {
         print!("{}", sum.borrow().render(result.cycles));
     }
 }
 
-fn bench_usage() -> String {
-    "usage: gm-run bench [--scale <test|bench|full>] [--jobs <N>] \
-     [--filter <SUBSTR>] [--workloads <a,b,...>] [--json <PATH>] \
-     [--check <BASELINE.json>] [--profile]\n\
-     \n\
-     Runs every selected sweep experiment cold (no result store), measures\n\
-     total simulation wall-clock and simulated-cycles-per-second engine\n\
-     throughput, and writes the snapshot to --json (default:\n\
-     BENCH_engine.json). Re-run after engine changes to extend the repo's\n\
-     perf trajectory; see README \"Performance\". The snapshot records the\n\
-     rustc version and host triple that produced it.\n\
-     \n\
-     --check compares the fresh run against a committed baseline snapshot\n\
-     and exits non-zero if any experiment's (or the total) mcycles_per_s\n\
-     dropped by more than 25% — the CI perf-regression gate. With --check\n\
-     the snapshot defaults to BENCH_fresh.json (never the baseline path,\n\
-     which --json may not name either). Compare runs from the same runner\n\
-     class; absolute throughput is machine-specific, and a rustc/host\n\
-     mismatch against the baseline is reported as a warning.\n\
-     \n\
-     --profile (needs a build with --features stage-prof) prints a\n\
-     per-stage run/skip/wall-time table to stderr after each experiment\n\
-     and embeds it in the snapshot as stage_profile. Profiling builds\n\
-     pay for the counters — never record a baseline from one.\n"
-        .to_owned()
+#[rustfmt::skip]
+static BENCH: Command = Command {
+    name: "gm-run bench",
+    synopsis: &["[options]"],
+    about: "Runs every selected sweep experiment cold (no result store), measures\n\
+            total simulation wall-clock and simulated-cycles-per-second engine\n\
+            throughput, and writes the snapshot, stamped with the rustc version and\n\
+            host triple that produced it. Re-run after engine changes to extend the\n\
+            repo's perf trajectory; see README \"Performance\". Compare runs from\n\
+            the same runner class: absolute throughput is machine-specific.",
+    positionals: 0,
+    flags: &[
+        SCALE,
+        JOBS,
+        FILTER,
+        WORKLOADS,
+        flag("--json", "<PATH>", "write the snapshot to PATH (default: BENCH_engine.json,\n\
+                                  or BENCH_fresh.json with --check)"),
+        flag("--check", "<BASELINE.json>", "exit 1 if any experiment's (or the total) Mcycles/s,\n\
+                                            normalised by the calibration probe, fell more than\n\
+                                            25% below the baseline's (the CI perf gate); a\n\
+                                            rustc/host mismatch warns. Not with --workloads"),
+        switch("--profile", "print per-stage run/skip/wall-time tables and embed them\n\
+                             in the snapshot; needs --features stage-prof, whose\n\
+                             counters cost time (never record a baseline from one)"),
+    ],
+    subcommands: &[],
+    run: bench_main,
+};
+
+/// `gm-run bench`'s baseline (`--check`) and snapshot path. With
+/// `--check`, the snapshot defaults to BENCH_fresh.json so the default
+/// output can never be the baseline under comparison; an explicit
+/// collision is rejected — otherwise a regressed run would overwrite
+/// the baseline before failing, and the re-run would pass. A
+/// `--workloads` subset is rejected too: its rates are not comparable
+/// to a baseline's whole-suite rates.
+fn bench_outputs(a: &Args) -> Result<(Option<String>, String), String> {
+    let check = a.owned("--check");
+    if check.is_some() && a.has("--workloads") {
+        return Err("--check compares whole-suite rates and cannot take --workloads".into());
+    }
+    let snapshot = a.owned("--json").unwrap_or_else(|| {
+        if check.is_some() {
+            "BENCH_fresh.json".to_owned()
+        } else {
+            "BENCH_engine.json".to_owned()
+        }
+    });
+    if check.as_deref() == Some(snapshot.as_str()) {
+        return Err(format!(
+            "--json and --check name the same file ({snapshot}); writing the fresh \
+             snapshot there would clobber the baseline before it is checked"
+        ));
+    }
+    Ok((check, snapshot))
 }
 
 /// Maximum tolerated fractional `mcycles_per_s` drop per experiment
@@ -1175,93 +1237,18 @@ fn stage_profile_report(program: &str, exp_name: &str, entry: &mut Json) {
 
 /// `gm-run bench`: cold perf snapshot of the simulation engine, with an
 /// optional `--check` regression gate against a committed baseline.
-fn bench_main(args: &[String]) {
-    let program = "gm-run bench";
-    // `--check` and `--profile` are bench-only; strip them before the
-    // shared parser.
-    let mut check: Option<String> = None;
-    let mut profile = false;
-    let mut rest: Vec<String> = Vec::new();
-    let mut args_it = args.iter();
-    while let Some(arg) = args_it.next() {
-        if arg == "--check" {
-            match args_it.next() {
-                Some(v) => check = Some(v.clone()),
-                None => {
-                    eprint!("{program}: --check requires a value\n\n{}", bench_usage());
-                    std::process::exit(exit::USAGE);
-                }
-            }
-        } else if arg == "--profile" {
-            profile = true;
-        } else {
-            rest.push(arg.clone());
-        }
-    }
+fn bench_main(a: Args) {
+    let program = BENCH.name;
+    let scale = BENCH.or_usage(a.scale());
+    let jobs = BENCH.or_usage(a.jobs());
+    let workloads = BENCH.or_usage(a.workloads());
+    let (check, snapshot_path) = BENCH.or_usage(bench_outputs(&a));
+    let profile = a.has("--profile");
     if profile && !cfg!(feature = "stage-prof") {
-        eprint!(
-            "{program}: --profile needs the profiling build; rebuild with \
-             --features stage-prof\n\n{}",
-            bench_usage()
+        usage_exit(
+            &BENCH,
+            "--profile needs the profiling build; rebuild with --features stage-prof",
         );
-        std::process::exit(exit::USAGE);
-    }
-    let args = rest.as_slice();
-    let opts = match parse(args, true) {
-        Ok(opts) => {
-            if opts.help {
-                print!("{}", bench_usage());
-                std::process::exit(exit::OK);
-            }
-            if opts.store.is_some() || opts.remote.is_some() || opts.shard.is_some() || opts.list {
-                eprint!(
-                    "{program}: bench always runs cold and unsharded\n\n{}",
-                    bench_usage()
-                );
-                std::process::exit(exit::USAGE);
-            }
-            if opts.telemetry.is_some() {
-                eprint!(
-                    "{program}: --telemetry would perturb the timing snapshot; \
-                     use a plain sweep run instead\n\n{}",
-                    bench_usage()
-                );
-                std::process::exit(exit::USAGE);
-            }
-            if opts.inject.is_some() {
-                eprint!(
-                    "{program}: --inject would poison the timing snapshot; \
-                     use a plain sweep run to exercise fault injection\n\n{}",
-                    bench_usage()
-                );
-                std::process::exit(exit::USAGE);
-            }
-            opts
-        }
-        Err(e) => {
-            eprint!("{program}: {e}\n\n{}", bench_usage());
-            std::process::exit(exit::USAGE);
-        }
-    };
-    // With --check, the snapshot defaults to BENCH_fresh.json so the
-    // default output can never be the baseline under comparison; an
-    // explicit collision is rejected — otherwise a regressed run would
-    // overwrite the baseline before failing, and the re-run would pass.
-    let snapshot_path = opts.json.clone().unwrap_or_else(|| {
-        if check.is_some() {
-            "BENCH_fresh.json".to_owned()
-        } else {
-            "BENCH_engine.json".to_owned()
-        }
-    });
-    if check.as_deref() == Some(snapshot_path.as_str()) {
-        eprint!(
-            "{program}: --json and --check name the same file ({snapshot_path}); \
-             writing the fresh snapshot there would clobber the baseline \
-             before it is checked\n\n{}",
-            bench_usage()
-        );
-        std::process::exit(exit::USAGE);
     }
     // Read the baseline before the (minutes-long) bench run, so a bad
     // path fails fast.
@@ -1271,23 +1258,14 @@ fn bench_main(args: &[String]) {
         Json::parse(&text)
             .unwrap_or_else(|e| fail(program, &format!("cannot parse baseline {path:?}: {e}")))
     });
-    let mut selected: Vec<Experiment> = match &opts.filter {
-        Some(pattern) => experiment::matching(pattern),
-        None => experiment::registry(),
-    }
-    .into_iter()
-    .filter(|e| matches!(e.kind, ExperimentKind::Sweep(_)))
-    .collect();
+    let selected: Vec<Experiment> = select(&BENCH, a.get("--filter"), workloads.as_deref())
+        .into_iter()
+        .filter(|e| matches!(e.kind, ExperimentKind::Sweep(_)))
+        .collect();
     if selected.is_empty() {
         fail(program, "no sweep experiment selected (try --filter fig6)");
     }
-    if let Some(names) = &opts.workloads {
-        if let Err(e) = apply_workload_filter(&mut selected, names) {
-            eprint!("{program}: {e}\n\n{}", bench_usage());
-            std::process::exit(exit::USAGE);
-        }
-    }
-    let runner = Runner::new(opts.jobs);
+    let runner = Runner::new(jobs);
     let calib_before = calibration_probe();
     eprintln!("{program}: calibration {calib_before:.2} Mops");
     let mut table = gm_stats::Table::new(vec![
@@ -1303,7 +1281,7 @@ fn bench_main(args: &[String]) {
         if profile {
             gm_sim::prof::reset();
         }
-        let out = run_experiment(&runner, exp, opts.scale, None, None)
+        let out = run_experiment(&runner, exp, scale, None, None)
             .unwrap_or_else(|e| fail(program, &format!("{}: {e}", exp.name)));
         let jobs = (out.cache.hits + out.cache.misses) as u64;
         total_jobs += jobs;
@@ -1349,8 +1327,8 @@ fn bench_main(args: &[String]) {
         );
     let calib_after = calibration_probe();
     eprintln!("{program}: calibration {calib_after:.2} Mops after sweep");
-    doc.set("generator", "gm-run bench")
-        .set("scale", opts.scale.name())
+    doc.set("generator", program)
+        .set("scale", scale.name())
         .set("jobs", runner.jobs() as u64)
         // Toolchain/machine provenance: --check warns when a baseline
         // from a different compiler or host is compared.
@@ -1381,31 +1359,28 @@ fn bench_main(args: &[String]) {
     }
 }
 
-fn store_usage() -> String {
-    "usage: gm-run store <DIR> [--compact] [--gc] [--verify] [--purge-quarantine]\n\
-     \n\
-     Inspects a result store: per-experiment record counts, the total\n\
-     cached simulation wall-clock those records represent (the time a warm\n\
-     re-run saves), and the quarantined evidence each experiment carries.\n\
-     --compact rewrites every store file, dropping superseded and corrupt\n\
-     lines. --gc additionally drops records whose fingerprint no current\n\
-     registry experiment produces (at any scale) — stale cache entries\n\
-     from old configs, schemes, or workloads — reporting the records and\n\
-     bytes reclaimed; a fully-reclaimed file is removed. Neither pass\n\
-     touches .quarantine sidecars: quarantined lines are evidence, kept\n\
-     until --purge-quarantine deletes them (reporting the lines and bytes\n\
-     reclaimed).\n\
-     \n\
-     --verify is a read-only deep-integrity pass: every line is re-parsed\n\
-     with the strict checker, per-record checksums are recomputed, record\n\
-     schemas are validated field by field, and each fingerprint is\n\
-     cross-checked against the jobs the current registry can actually\n\
-     produce (a record must also name the workload and scheme its\n\
-     fingerprint belongs to). Findings go to stderr and the exit code is\n\
-     1 if there were any; lines without a checksum (written before\n\
-     checksums existed) are reported but are not findings.\n"
-        .to_owned()
-}
+#[rustfmt::skip]
+static STORE: Command = Command {
+    name: "gm-run store",
+    synopsis: &["<DIR> [options]"],
+    about: "Inspects a result store: per-experiment record counts, the total\n\
+            cached simulation wall-clock those records represent (the time a warm\n\
+            re-run saves), and the quarantined evidence each experiment carries.\n\
+            --compact and --gc never touch .quarantine sidecars.",
+    positionals: 1,
+    flags: &[
+        switch("--compact", "rewrite every store file, dropping superseded and corrupt lines"),
+        switch("--gc", "also drop records whose fingerprint no registry experiment\n\
+                        produces at any scale; a fully-reclaimed file is removed"),
+        switch("--verify", "read-only deep-integrity pass: strict re-parse, checksums,\n\
+                            record schemas, and each fingerprint against the job (and\n\
+                            its workload and scheme) the registry produces; exit 1 on\n\
+                            any finding (lines without a checksum are reported only)"),
+        switch("--purge-quarantine", "delete the .quarantine sidecars, reporting what they held"),
+    ],
+    subcommands: &[],
+    run: store_main,
+};
 
 /// Every fingerprint `experiment` can currently produce, across all
 /// scales, mapped to the (workload, scheme label) job producing it — the
@@ -1532,42 +1507,14 @@ fn verify_store(program: &str, store: &ResultStore, experiments: &[String]) -> u
 }
 
 /// `gm-run store`: result-store maintenance.
-fn store_main(args: &[String]) {
-    let program = "gm-run store";
-    let mut dir: Option<String> = None;
-    let mut compact = false;
-    let mut gc = false;
-    let mut verify = false;
-    let mut purge_quarantine = false;
-    for arg in args {
-        match arg.as_str() {
-            "--compact" => compact = true,
-            "--gc" => gc = true,
-            "--verify" => verify = true,
-            "--purge-quarantine" => purge_quarantine = true,
-            "--help" | "-h" => {
-                print!("{}", store_usage());
-                std::process::exit(exit::OK);
-            }
-            flag if flag.starts_with('-') => {
-                eprint!("{program}: unknown argument {flag:?}\n\n{}", store_usage());
-                std::process::exit(exit::USAGE);
-            }
-            path if dir.is_none() => dir = Some(path.to_owned()),
-            extra => {
-                eprint!(
-                    "{program}: unexpected argument {extra:?}\n\n{}",
-                    store_usage()
-                );
-                std::process::exit(exit::USAGE);
-            }
-        }
-    }
-    let Some(dir) = dir else {
-        eprint!("{program}: store needs a directory\n\n{}", store_usage());
-        std::process::exit(exit::USAGE);
+fn store_main(a: Args) {
+    let program = STORE.name;
+    let Some(dir) = a.positionals.first() else {
+        usage_exit(&STORE, "store needs a directory");
     };
-    let store = ResultStore::open(&dir)
+    let (compact, gc) = (a.has("--compact"), a.has("--gc"));
+    let (verify, purge_quarantine) = (a.has("--verify"), a.has("--purge-quarantine"));
+    let store = ResultStore::open(dir)
         .unwrap_or_else(|e| fail(program, &format!("cannot open store {dir:?}: {e}")));
     let experiments = store
         .experiments()
@@ -1617,7 +1564,7 @@ fn store_main(args: &[String]) {
     // Sidecars without a matching store file (e.g. `remote.quarantine`,
     // written by the --remote client) would otherwise be invisible.
     let orphan_sidecars: Vec<String> = {
-        let mut names: Vec<String> = std::fs::read_dir(&dir)
+        let mut names: Vec<String> = std::fs::read_dir(dir)
             .ok()
             .into_iter()
             .flatten()
@@ -1726,62 +1673,27 @@ fn store_main(args: &[String]) {
     }
 }
 
-fn merge_usage() -> String {
-    "usage: gm-run merge <SHARD.json>... [--json <PATH>] [--jobs <N>]\n\
-     \n\
-     Combines the JSON documents written by `gm-run --shard K/N --json ...`\n\
-     into one report, bit-identical to the unsharded run that a shared\n\
-     result store would produce: tables and CSV on stdout, the combined\n\
-     document to --json. All N shards must be present exactly once.\n"
-        .to_owned()
-}
+#[rustfmt::skip]
+static MERGE: Command = Command {
+    name: "gm-run merge",
+    synopsis: &["<SHARD.json>... [options]"],
+    about: "Combines the JSON documents written by `gm-run --shard K/N --json ...`\n\
+            into one report, bit-identical to the unsharded run that a shared\n\
+            result store would produce: tables and CSV on stdout, the combined\n\
+            document to --json. All N shards must be present exactly once.",
+    positionals: usize::MAX,
+    flags: &[flag("--json", "<PATH>", "write the combined document to PATH"), JOBS],
+    subcommands: &[],
+    run: merge_main,
+};
 
 /// `gm-run merge`: recombine shard documents.
-fn merge_main(args: &[String]) {
-    let program = "gm-run";
-    let mut files: Vec<String> = Vec::new();
-    let mut json: Option<String> = None;
-    let mut jobs = 0usize;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => match it.next() {
-                Some(v) => json = Some(v.clone()),
-                None => {
-                    eprint!("{program}: --json requires a value\n\n{}", merge_usage());
-                    std::process::exit(exit::USAGE);
-                }
-            },
-            "--jobs" => {
-                jobs = it
-                    .next()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| {
-                        eprint!(
-                            "{program}: --jobs requires a positive integer\n\n{}",
-                            merge_usage()
-                        );
-                        std::process::exit(exit::USAGE);
-                    });
-            }
-            "--help" | "-h" => {
-                print!("{}", merge_usage());
-                std::process::exit(exit::OK);
-            }
-            flag if flag.starts_with('-') => {
-                eprint!("{program}: unknown argument {flag:?}\n\n{}", merge_usage());
-                std::process::exit(exit::USAGE);
-            }
-            file => files.push(file.to_owned()),
-        }
-    }
+fn merge_main(a: Args) {
+    let program = MERGE.name;
+    let jobs = MERGE.or_usage(a.jobs());
+    let files = &a.positionals;
     if files.is_empty() {
-        eprint!(
-            "{program}: merge needs at least one shard document\n\n{}",
-            merge_usage()
-        );
-        std::process::exit(exit::USAGE);
+        usage_exit(&MERGE, "merge needs at least one shard document");
     }
     let docs: Vec<Json> = files
         .iter()
@@ -1794,6 +1706,7 @@ fn merge_main(args: &[String]) {
         .collect();
     let merged = merge::merge_docs(&docs, &Runner::new(jobs))
         .unwrap_or_else(|e| fail(program, &format!("merge: {e}")));
+    let json = a.get("--json");
     let mut emitted = Vec::new();
     for (exp, out) in &merged.outputs {
         print!("{}", report_text(exp.title, out));
@@ -1801,11 +1714,13 @@ fn merge_main(args: &[String]) {
             emitted.push(experiment_json(exp, merged.scale, out));
         }
     }
+    // The driver's own generator name: the merged document is
+    // byte-identical to an unsharded run's.
     let mut doc = Json::object();
-    doc.set("generator", program)
+    doc.set("generator", MAIN.name)
         .set("scale", merged.scale.name())
         .set("experiments", Json::Array(emitted));
-    write_json(program, json.as_ref(), &doc);
+    write_json(program, json, &doc);
 }
 
 #[cfg(test)]
@@ -1817,35 +1732,33 @@ mod tests {
         list.iter().map(|s| (*s).to_owned()).collect()
     }
 
+    /// The driver's command line through the table and its conversions.
+    fn parse(list: &[&str]) -> Result<Options, String> {
+        options(&MAIN.parse(&args(list))?)
+    }
+
     #[test]
     fn parses_the_standard_flags() {
-        let o = parse(
-            &args(&["--scale", "bench", "--jobs", "4", "--json", "out.json"]),
-            false,
-        )
-        .unwrap();
+        let o = parse(&["--scale", "bench", "--jobs", "4", "--json", "out.json"]).unwrap();
         assert_eq!(o.scale, Scale::Bench);
         assert_eq!(o.jobs, 4);
         assert_eq!(o.json.as_deref(), Some("out.json"));
-        assert!(!o.list && o.filter.is_none() && !o.help);
+        assert!(!o.list && o.filter.is_none());
         assert!(o.workloads.is_none() && o.store.is_none());
         assert!(!o.expect_cached && o.shard.is_none());
     }
 
     #[test]
     fn parses_the_store_and_shard_flags() {
-        let o = parse(
-            &args(&[
-                "--store",
-                ".gm-store",
-                "--expect-cached",
-                "--shard",
-                "2/4",
-                "--json",
-                "s.json",
-            ]),
-            true,
-        )
+        let o = parse(&[
+            "--store",
+            ".gm-store",
+            "--expect-cached",
+            "--shard",
+            "2/4",
+            "--json",
+            "s.json",
+        ])
         .unwrap();
         assert_eq!(o.store.as_deref(), Some(".gm-store"));
         assert!(o.expect_cached);
@@ -1854,79 +1767,82 @@ mod tests {
 
     #[test]
     fn parses_workload_lists() {
-        let o = parse(&args(&["--workloads", "mcf,lbm,povray"]), false).unwrap();
+        let o = parse(&["--workloads", "mcf,lbm,povray"]).unwrap();
         assert_eq!(
             o.workloads.as_deref().unwrap(),
             ["mcf".to_owned(), "lbm".to_owned(), "povray".to_owned()]
         );
-        assert!(parse(&args(&["--workloads", ""]), false).is_err());
-        assert!(parse(&args(&["--workloads", "a,,b"]), false).is_err());
-    }
-
-    #[test]
-    fn legacy_scale_aliases_still_work() {
-        assert_eq!(parse(&args(&["--full"]), false).unwrap().scale, Scale::Full);
-        assert_eq!(
-            parse(&args(&["--bench"]), false).unwrap().scale,
-            Scale::Bench
-        );
+        assert!(parse(&["--workloads", ""]).is_err());
+        assert!(parse(&["--workloads", "a,,b"]).is_err());
     }
 
     #[test]
     fn unknown_flags_are_rejected_not_ignored() {
-        let e = parse(&args(&["--scal", "test"]), false).unwrap_err();
+        let e = parse(&["--scal", "test"]).unwrap_err();
         assert!(e.contains("unknown argument"), "{e}");
         // Positional junk is rejected too.
-        assert!(parse(&args(&["fig6"]), false).is_err());
+        assert!(parse(&["fig6"]).is_err());
     }
 
     #[test]
     fn selection_flags_only_exist_on_gm_run() {
-        assert!(parse(&args(&["--list"]), true).unwrap().list);
-        assert!(parse(&args(&["--list"]), false).is_err());
-        let o = parse(&args(&["--filter", "fig1"]), true).unwrap();
+        assert!(parse(&["--list"]).unwrap().list);
+        let o = parse(&["--filter", "fig1"]).unwrap();
         assert_eq!(o.filter.as_deref(), Some("fig1"));
-        assert!(parse(&args(&["--filter", "fig1"]), false).is_err());
-        assert!(parse(&args(&["--shard", "1/2", "--json", "s.json"]), false).is_err());
+        // bench always runs cold, unsharded and unlisted; the other
+        // subcommands select nothing from the registry.
+        for flag in ["--list", "--shard", "--store", "--remote", "--telemetry"] {
+            let e = BENCH.parse(&args(&[flag, "x"])).err();
+            assert!(e.is_some_and(|e| e.contains("unknown argument")), "{flag}");
+        }
+        for cmd in [&MERGE, &STORE, &TRACE] {
+            assert!(
+                cmd.parse(&args(&["--filter", "fig1"])).is_err(),
+                "{}",
+                cmd.name
+            );
+        }
     }
 
     #[test]
     fn malformed_values_are_rejected() {
-        assert!(parse(&args(&["--scale", "huge"]), false).is_err());
-        assert!(parse(&args(&["--jobs", "0"]), false).is_err());
-        assert!(parse(&args(&["--jobs", "many"]), false).is_err());
-        assert!(parse(&args(&["--jobs"]), false).is_err());
-        assert!(parse(&args(&["--json"]), false).is_err());
-        assert!(parse(&args(&["--store"]), false).is_err());
-        assert!(parse(&args(&["--shard", "0/4", "--json", "s.json"]), true).is_err());
-        assert!(parse(&args(&["--shard", "nope", "--json", "s.json"]), true).is_err());
+        assert!(parse(&["--scale", "huge"]).is_err());
+        assert!(parse(&["--jobs", "0"]).is_err());
+        assert!(parse(&["--jobs", "many"]).is_err());
+        assert!(parse(&["--jobs"]).is_err());
+        assert!(parse(&["--json"]).is_err());
+        assert!(parse(&["--store"]).is_err());
+        assert!(parse(&["--shard", "0/4", "--json", "s.json"]).is_err());
+        assert!(parse(&["--shard", "nope", "--json", "s.json"]).is_err());
     }
 
     #[test]
     fn inconsistent_combinations_are_rejected() {
-        let e = parse(&args(&["--expect-cached"]), false).unwrap_err();
+        let e = parse(&["--expect-cached"]).unwrap_err();
         assert!(e.contains("--store"), "{e}");
-        let e = parse(&args(&["--shard", "1/2"]), true).unwrap_err();
+        let e = parse(&["--shard", "1/2"]).unwrap_err();
         assert!(e.contains("--json"), "{e}");
-        // --list and --help escape the --json requirement (nothing runs).
-        assert!(parse(&args(&["--shard", "1/2", "--list"]), true).is_ok());
-        assert!(parse(&args(&["--shard", "1/2", "--help"]), true).is_ok());
+        // --list and --help escape the --json requirement (nothing runs);
+        // help is answered before any conversion or cross-check.
+        assert!(parse(&["--shard", "1/2", "--list"]).is_ok());
+        assert!(
+            MAIN.parse(&args(&["--shard", "1/2", "--help"]))
+                .unwrap()
+                .help
+        );
     }
 
     #[test]
     fn parses_the_supervision_flags() {
-        let o = parse(
-            &args(&[
-                "--retries",
-                "0",
-                "--budget",
-                "30",
-                "--strict",
-                "--inject",
-                "panic:mcf/GhostMinion@1",
-            ]),
-            false,
-        )
+        let o = parse(&[
+            "--retries",
+            "0",
+            "--budget",
+            "30",
+            "--strict",
+            "--inject",
+            "panic:mcf/GhostMinion@1",
+        ])
         .unwrap();
         assert_eq!(o.retries, Some(0));
         assert_eq!(o.budget, Some(30));
@@ -1936,11 +1852,11 @@ mod tests {
             Some(FaultPlan::none().panic_once("mcf", "GhostMinion"))
         );
         // Malformed values are rejected eagerly, before anything runs.
-        assert!(parse(&args(&["--retries", "-1"]), false).is_err());
-        assert!(parse(&args(&["--retries", "some"]), false).is_err());
-        assert!(parse(&args(&["--budget", "0"]), false).is_err());
-        assert!(parse(&args(&["--budget", "1.5"]), false).is_err());
-        let e = parse(&args(&["--inject", "explode:a/b"]), false).unwrap_err();
+        assert!(parse(&["--retries", "-1"]).is_err());
+        assert!(parse(&["--retries", "some"]).is_err());
+        assert!(parse(&["--budget", "0"]).is_err());
+        assert!(parse(&["--budget", "1.5"]).is_err());
+        let e = parse(&["--inject", "explode:a/b"]).unwrap_err();
         assert!(e.contains("--inject"), "{e}");
     }
 
@@ -1952,8 +1868,10 @@ mod tests {
         assert_eq!(exit::FAILURE, 1);
         assert_eq!(exit::USAGE, 2);
         assert_eq!(exit::PARTIAL, 3);
-        let u = usage("gm-run", true);
-        assert!(u.contains("exit codes:"), "usage must print the table");
+        for cmd in MAIN.subcommands.iter().copied().chain([&MAIN]) {
+            assert!(cmd.help().ends_with(EXIT_CODES), "{} help", cmd.name);
+        }
+        let u = MAIN.help();
         for line in [
             "0  success",
             "1  hard failure",
@@ -1966,28 +1884,24 @@ mod tests {
 
     #[test]
     fn remote_requires_a_store() {
-        let e = parse(&args(&["--remote", "127.0.0.1:4460"]), false).unwrap_err();
+        let e = parse(&["--remote", "127.0.0.1:4460"]).unwrap_err();
         assert!(e.contains("--store"), "{e}");
-        let o = parse(
-            &args(&["--store", ".gm-store", "--remote", "127.0.0.1:4460"]),
-            false,
-        )
-        .unwrap();
+        let o = parse(&["--store", ".gm-store", "--remote", "127.0.0.1:4460"]).unwrap();
         assert_eq!(o.remote.as_deref(), Some("127.0.0.1:4460"));
-        assert!(parse(&args(&["--remote"]), false).is_err());
+        assert!(parse(&["--remote"]).is_err());
     }
 
     #[test]
     fn store_sync_requires_a_store() {
-        let e = parse(&args(&["--store-sync"]), false).unwrap_err();
+        let e = parse(&["--store-sync"]).unwrap_err();
         assert!(e.contains("--store"), "{e}");
-        let o = parse(&args(&["--store", ".gm-store", "--store-sync"]), false).unwrap();
+        let o = parse(&["--store", ".gm-store", "--store-sync"]).unwrap();
         assert!(o.store_sync);
     }
 
     #[test]
     fn expect_cached_degrades_when_the_store_was_damaged() {
-        let o = parse(&args(&["--store", ".gm-store", "--expect-cached"]), false).unwrap();
+        let o = parse(&["--store", ".gm-store", "--expect-cached"]).unwrap();
         // Misses explained by quarantined damage must not abort: the
         // jobs were re-simulated, which is the graceful degradation.
         // (The abort branch calls `exit` and is covered by CI smokes.)
@@ -1997,58 +1911,53 @@ mod tests {
 
     #[test]
     fn telemetry_must_not_collide_with_the_json_output() {
-        let o = parse(&args(&["--telemetry", "events.jsonl"]), false).unwrap();
+        let o = parse(&["--telemetry", "events.jsonl"]).unwrap();
         assert_eq!(o.telemetry.as_deref(), Some("events.jsonl"));
-        assert!(parse(&args(&["--telemetry"]), false).is_err());
+        assert!(parse(&["--telemetry"]).is_err());
         // Same path for the span stream and the results document would
         // corrupt both (mirrors the bench --check/--json guard).
-        let e = parse(
-            &args(&["--telemetry", "out.json", "--json", "out.json"]),
-            false,
-        )
-        .unwrap_err();
+        let e = parse(&["--telemetry", "out.json", "--json", "out.json"]).unwrap_err();
         assert!(e.contains("same file"), "{e}");
-        assert!(parse(
-            &args(&["--telemetry", "t.jsonl", "--json", "out.json"]),
-            false
-        )
-        .is_ok());
+        assert!(parse(&["--telemetry", "t.jsonl", "--json", "out.json"]).is_ok());
     }
 
     #[test]
-    fn usage_mentions_every_flag() {
-        let u = usage("gm-run", true);
-        for flag in [
-            "--scale",
-            "--jobs",
-            "--json",
-            "--workloads",
-            "--store",
-            "--expect-cached",
-            "--list",
-            "--filter",
-            "--shard",
-            "--telemetry",
-            "--retries",
-            "--budget",
-            "--strict",
-            "--inject",
-            "--store-sync",
-            "--remote",
-            "merge",
-            "bench",
-            "store",
-            "trace",
-            "--check",
-            "--gc",
-            "--verify",
-            "--purge-quarantine",
-        ] {
-            assert!(u.contains(flag), "{flag} missing from usage");
+    fn every_command_documents_and_enforces_its_flag_table() {
+        let main_help = MAIN.help();
+        for cmd in MAIN.subcommands.iter().copied().chain([&MAIN]) {
+            let help = cmd.help();
+            let form = format!("{} {}\n", cmd.name, cmd.synopsis[0]);
+            assert!(
+                main_help.contains(&form),
+                "{form:?} missing from gm-run help"
+            );
+            for f in cmd.flags {
+                let row = match f.value {
+                    Some(v) => format!("  {} {v} ", f.name),
+                    None => format!("  {} ", f.name),
+                };
+                assert!(
+                    help.contains(&row),
+                    "{}: {row:?} missing from help",
+                    cmd.name
+                );
+                if f.value.is_some() {
+                    let e = cmd.parse(&args(&[f.name])).err().unwrap_or_default();
+                    assert!(
+                        e.contains(f.name) && e.contains("requires a value"),
+                        "{}: {}: {e:?}",
+                        cmd.name,
+                        f.name
+                    );
+                }
+            }
+            let e = cmd
+                .parse(&args(&["--no-such-flag"]))
+                .err()
+                .unwrap_or_default();
+            assert!(e.contains("unknown argument"), "{}: {e:?}", cmd.name);
+            assert!(cmd.parse(&args(&["-h"])).unwrap().help);
         }
-        let fig = usage("fig6", false);
-        assert!(!fig.contains("--filter") && !fig.contains("--shard"));
-        assert!(fig.contains("--store") && fig.contains("--workloads"));
     }
 
     fn bench_doc(rates: &[(&str, f64)], total: f64) -> Json {
@@ -2203,28 +2112,35 @@ mod tests {
     }
 
     #[test]
-    fn bench_usage_mentions_the_bench_only_flags() {
-        let u = bench_usage();
-        for flag in ["--check", "--profile", "--workloads", "stage-prof"] {
-            assert!(u.contains(flag), "{flag} missing from bench usage");
-        }
+    fn bench_check_takes_whole_suites_and_never_overwrites_its_baseline() {
+        let outputs = |list: &[&str]| bench_outputs(&BENCH.parse(&args(list)).unwrap());
+        assert_eq!(outputs(&[]).unwrap(), (None, "BENCH_engine.json".into()));
+        let (check, snapshot) = outputs(&["--check", "base.json"]).unwrap();
+        assert_eq!(check.as_deref(), Some("base.json"));
+        assert_eq!(snapshot, "BENCH_fresh.json");
+        let e = outputs(&["--check", "b.json", "--json", "b.json"]).unwrap_err();
+        assert!(e.contains("same file"), "{e}");
+        let e = outputs(&["--check", "b.json", "--workloads", "bzip2"]).unwrap_err();
+        assert!(e.contains("--workloads"), "{e}");
+        assert!(outputs(&["--workloads", "bzip2"]).is_ok());
     }
 
     #[test]
-    fn trace_usage_mentions_the_trace_only_flags() {
-        let u = trace_usage();
-        for flag in [
-            "--workload",
-            "--scheme",
-            "--scale",
-            "--out",
-            "--summary",
-            "--validate",
-            "--validate-telemetry",
-            "Konata",
-        ] {
-            assert!(u.contains(flag), "{flag} missing from trace usage");
-        }
+    fn selection_drops_the_sweeps_a_workload_list_empties() {
+        use gm_workloads::Suite;
+        let selected = select(&BENCH, None, Some(&["bzip2".to_owned()]));
+        let suites: Vec<Suite> = selected
+            .iter()
+            .filter_map(|e| match &e.kind {
+                ExperimentKind::Sweep(s) => Some(s.suite),
+                _ => None,
+            })
+            .collect();
+        assert!(!suites.is_empty());
+        assert!(suites.iter().all(|&s| s == Suite::Spec2006), "{suites:?}");
+        // Non-sweep experiments are not scoped by --workloads.
+        assert!(selected.iter().any(|e| e.name == "table1"));
+        assert_eq!(select(&MAIN, Some("fig7"), None).len(), 1);
     }
 
     #[test]

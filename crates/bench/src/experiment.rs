@@ -1,5 +1,5 @@
 //! Experiments as data: the declarative description of every paper
-//! figure and table, plus the registry the CLI and binaries select from.
+//! figure and table, plus the registry `gm-run` selects from.
 
 use ghostminion::{GhostMinionConfig, Scheme, SystemConfig};
 use gm_workloads::{Scale, Suite, WorkloadSet};
@@ -88,7 +88,8 @@ pub enum ExperimentKind {
 /// A registered experiment: a paper figure or table as data.
 #[derive(Clone, Debug)]
 pub struct Experiment {
-    /// Registry key (`fig6` … `table1`), also the binary name.
+    /// Registry key (`fig6` … `table1`); `gm-run --filter <name>`
+    /// selects exactly this experiment.
     pub name: &'static str,
     /// Report heading, matching the paper's figure caption.
     pub title: &'static str,
@@ -144,8 +145,8 @@ fn fu_order_lineup() -> Vec<SchemeCol> {
     ]
 }
 
-/// All ten experiments, in paper order. Every figure/table binary and
-/// the `gm-run` driver resolve their work from this list.
+/// All ten experiments, in paper order. `gm-run` and the benches
+/// resolve their work from this list.
 pub fn registry() -> Vec<Experiment> {
     vec![
         Experiment {
@@ -153,16 +154,19 @@ pub fn registry() -> Vec<Experiment> {
             title: "Figure 6: SPEC CPU2006 normalised execution time",
             kind: sweep(Suite::Spec2006, figure_lineup(), Report::NormalizedTime),
         },
+        // Paper shape: GhostMinion ≈ 0% overhead; InvisiSpec the worst (up to ≈2.4×).
         Experiment {
             name: "fig7",
             title: "Figure 7: Parsec (4 threads) normalised execution time",
             kind: sweep(Suite::Parsec, figure_lineup(), Report::NormalizedTime),
         },
+        // Paper shape: GhostMinion ≈ 0.6% geomean; mcf and wrf keep visible overhead.
         Experiment {
             name: "fig8",
             title: "Figure 8: SPECspeed 2017 normalised execution time",
             kind: sweep(Suite::Spec2017, figure_lineup(), Report::NormalizedTime),
         },
+        // Paper shape: the D-minion and coherence dominate; the I-minion costs ≈ 0.
         Experiment {
             name: "fig9",
             title: "Figure 9: GhostMinion overhead breakdown",
@@ -196,6 +200,7 @@ pub fn registry() -> Vec<Experiment> {
             title: "Table 1: system experimental setup",
             kind: ExperimentKind::Table1,
         },
+        // Paper shape: ≤ 3 µW data-side, ≤ 1 µW instruction-side dynamic draw.
         Experiment {
             name: "power",
             title: "GhostMinion dynamic power across SPEC CPU2006 (§6.5)",
@@ -205,11 +210,14 @@ pub fn registry() -> Vec<Experiment> {
                 Report::DynamicPower,
             ),
         },
+        // Expected: Unsafe leaks everything; MuonTrap leaks classic Spectre;
+        // GhostMinion leaks the divider channel until §4.9 FU ordering closes it.
         Experiment {
             name: "security",
             title: "Security litmus tests",
             kind: ExperimentKind::Security,
         },
+        // Paper shape: no slowdown above ≈ 0.08%; a small geomean speedup.
         Experiment {
             name: "fu_order",
             title: "\u{a7}4.9: strictness-ordered non-pipelined FU scheduling vs greedy",
@@ -303,6 +311,14 @@ mod tests {
         assert!(names.contains(&"fig10") && names.contains(&"fig11"));
         assert!(matching("nope").is_empty());
         assert_eq!(matching("").len(), 10);
+    }
+
+    #[test]
+    fn every_name_selects_exactly_itself() {
+        for e in registry() {
+            let names: Vec<&str> = matching(e.name).iter().map(|m| m.name).collect();
+            assert_eq!(names, [e.name], "gm-run --filter {} is ambiguous", e.name);
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The experiment harness behind every figure/table binary and the
-//! Criterion benches.
+//! The experiment harness behind the `gm-run` driver and the Criterion
+//! benches.
 //!
 //! The subsystem is layered:
 //!
@@ -23,11 +23,11 @@
 //! * [`telemetry`] — append-only JSON-lines span events (`--telemetry`)
 //!   for the run, each experiment, and each job, plus the strict
 //!   validator CI runs over emitted streams;
-//! * [`cli`] — argument parsing plus the `main` bodies of the thin
-//!   figure binaries and the `gm-run` driver.
+//! * [`cli`] — the `gm-run` front end: one flag table per command, the
+//!   parser and help renderer they share, and each command's body.
 //!
-//! Every binary in `src/bin/` is a one-line client: it names its
-//! registry entry and delegates to [`cli::figure_main`].
+//! `src/bin/gm_run.rs` is the only binary: `gm-run --filter <name>`
+//! reproduces any one registry entry.
 
 pub mod cli;
 pub mod experiment;

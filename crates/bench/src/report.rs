@@ -122,8 +122,8 @@ pub fn run_experiment(
 }
 
 /// The exact stdout of one experiment: preamble lines, the table in
-/// human and CSV form, postamble lines. `gm-run`, the figure binaries,
-/// and `gm-run merge` all print this string, which is what makes
+/// human and CSV form, postamble lines. `gm-run` and `gm-run merge`
+/// both print this string, which is what makes
 /// "merged output is bit-identical to an unsharded run" a string
 /// equality.
 pub fn report_text(title: &str, out: &ExperimentOutput) -> String {

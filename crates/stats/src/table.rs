@@ -1,6 +1,6 @@
-//! Plain-text table formatting for figure regeneration binaries.
+//! Plain-text table formatting for figure regeneration.
 //!
-//! Each figure binary builds a [`Table`] whose rows mirror the series the
+//! Each figure's report builds a [`Table`] whose rows mirror the series the
 //! paper plots (one row per workload, one column per scheme) and prints it
 //! to stdout, alongside a CSV form for downstream plotting.
 
