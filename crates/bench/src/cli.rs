@@ -1960,6 +1960,68 @@ mod tests {
         }
     }
 
+    #[test]
+    fn usage_mentions_every_flag() {
+        let u = MAIN.help();
+        for flag in [
+            "--scale",
+            "--jobs",
+            "--json",
+            "--workloads",
+            "--store",
+            "--expect-cached",
+            "--list",
+            "--filter",
+            "--shard",
+            "--telemetry",
+            "--retries",
+            "--budget",
+            "--strict",
+            "--inject",
+            "--store-sync",
+            "--remote",
+            "merge",
+            "bench",
+            "store",
+            "trace",
+        ] {
+            assert!(u.contains(flag), "{flag} missing from usage");
+        }
+        let store = STORE.help();
+        for flag in ["--compact", "--gc", "--verify", "--purge-quarantine"] {
+            assert!(store.contains(flag), "{flag} missing from store usage");
+        }
+        // Selection flags belong to gm-run alone.
+        let trace = TRACE.help();
+        assert!(!trace.contains("--filter") && !trace.contains("--shard"));
+        assert!(trace.contains("--scale") && trace.contains("--workload"));
+    }
+
+    #[test]
+    fn bench_usage_mentions_the_bench_only_flags() {
+        let u = BENCH.help();
+        for flag in ["--check", "--profile", "--workloads", "stage-prof"] {
+            assert!(u.contains(flag), "{flag} missing from bench usage");
+        }
+    }
+
+    #[test]
+    fn trace_usage_mentions_the_trace_only_flags() {
+        let u = TRACE.help();
+        for flag in [
+            "--workload",
+            "--scheme",
+            "--scale",
+            "--out",
+            "--summary",
+            "--validate",
+            "--validate-telemetry",
+            "Konata",
+        ] {
+            assert!(u.contains(flag), "{flag} missing from trace usage");
+        }
+    }
+
     fn bench_doc(rates: &[(&str, f64)], total: f64) -> Json {
         let mut entries = Vec::new();
         for (name, rate) in rates {
