@@ -798,6 +798,29 @@ static TRACE: Command = Command {
     run: trace_main,
 };
 
+/// Whether a `gm-run trace` command line validates files
+/// (`--validate`/`--validate-telemetry`) rather than tracing a job.
+/// Validation reads files and runs nothing, so an experiment or any
+/// flag that shapes a job is a usage error there rather than silently
+/// ignored.
+fn trace_validation(a: &Args) -> Result<bool, String> {
+    if !a.has("--validate") && !a.has("--validate-telemetry") {
+        return Ok(false);
+    }
+    let extra = a.positionals.first().map(|p| format!("{p:?}")).or_else(|| {
+        ["--workload", "--scheme", "--scale", "--out", "--summary"]
+            .into_iter()
+            .find(|f| a.has(f))
+            .map(str::to_owned)
+    });
+    match extra {
+        None => Ok(true),
+        Some(x) => Err(format!(
+            "--validate modes take only a file argument, not {x}"
+        )),
+    }
+}
+
 /// `gm-run trace`: one traced (workload × scheme) job, or validation of
 /// previously emitted trace/telemetry files.
 fn trace_main(a: Args) {
@@ -811,14 +834,8 @@ fn trace_main(a: Args) {
     let experiment_name = a.positionals.first();
     let out = a.get("--out");
     let summary = a.has("--summary");
-    let validate_trace = a.get("--validate");
-    let validate_telemetry = a.get("--validate-telemetry");
-    // Validation modes stand alone: they read files, they run nothing.
-    if validate_trace.is_some() || validate_telemetry.is_some() {
-        if experiment_name.is_some() || out.is_some() || summary {
-            usage_exit(&TRACE, "--validate modes take only a file argument");
-        }
-        if let Some(path) = validate_trace {
+    if TRACE.or_usage(trace_validation(&a)) {
+        if let Some(path) = a.get("--validate") {
             let text = std::fs::read_to_string(path)
                 .unwrap_or_else(|e| fail(program, &format!("cannot read {path:?}: {e}")));
             let r = validate_o3(&text)
@@ -829,7 +846,7 @@ fn trace_main(a: Args) {
                 r.instructions, r.retired, r.squashed
             );
         }
-        if let Some(path) = validate_telemetry {
+        if let Some(path) = a.get("--validate-telemetry") {
             let text = std::fs::read_to_string(path)
                 .unwrap_or_else(|e| fail(program, &format!("cannot read {path:?}: {e}")));
             let s = telemetry::validate(&text)
@@ -921,6 +938,7 @@ fn trace_main(a: Args) {
         result.cycles,
         committed
     );
+    print_stage_gates(program, &machine, result.core_stats.len());
     if let Some(o3) = &o3 {
         if let Err(e) = o3.borrow_mut().finish() {
             fail(program, &format!("cannot write trace: {e}"));
@@ -930,6 +948,45 @@ fn trace_main(a: Args) {
     if let Some(sum) = &sum {
         print!("{}", sum.borrow().render(result.cycles));
     }
+}
+
+/// Prints to stderr how often each gated pipeline stage ran and how
+/// often its gate skipped it, summed over the machine's `cores`: a
+/// table, then one greppable `stage gates: T ticks, R runs, S skips`
+/// line.
+fn print_stage_gates(program: &str, machine: &ghostminion::Machine, cores: usize) {
+    let mut ticks = 0;
+    let mut runs = [0u64; 6];
+    for i in 0..cores {
+        let (t, r) = machine.core(i).stage_counts();
+        ticks += t;
+        for (sum, r) in runs.iter_mut().zip(r) {
+            *sum += r;
+        }
+    }
+    let mut table = gm_stats::Table::new(vec![
+        "stage".into(),
+        "runs".into(),
+        "skips".into(),
+        "skip%".into(),
+    ]);
+    for (name, &r) in gm_sim::STAGE_NAMES.iter().zip(&runs) {
+        let skip_pct = if ticks > 0 {
+            (ticks - r) as f64 / ticks as f64 * 100.0
+        } else {
+            0.0
+        };
+        table.row(vec![
+            (*name).to_owned(),
+            r.to_string(),
+            (ticks - r).to_string(),
+            format!("{skip_pct:.1}"),
+        ]);
+    }
+    let total: u64 = runs.iter().sum();
+    let skips = ticks * runs.len() as u64 - total;
+    eprint!("{}", table.render());
+    eprintln!("{program}: stage gates: {ticks} ticks, {total} runs, {skips} skips");
 }
 
 #[rustfmt::skip]
@@ -954,9 +1011,6 @@ static BENCH: Command = Command {
                                             normalised by the calibration probe, fell more than\n\
                                             25% below the baseline's (the CI perf gate); a\n\
                                             rustc/host mismatch warns. Not with --workloads"),
-        switch("--profile", "print per-stage run/skip/wall-time tables and embed them\n\
-                             in the snapshot; needs --features stage-prof, whose\n\
-                             counters cost time (never record a baseline from one)"),
     ],
     subcommands: &[],
     run: bench_main,
@@ -1189,52 +1243,6 @@ fn bench_check(fresh: &Json, baseline: &Json) -> Result<BenchCheck, String> {
     })
 }
 
-/// Renders the per-stage run/skip/wall-time counters accumulated during
-/// one experiment: a table on stderr (stdout stays byte-comparable) and
-/// a `stage_profile` array on the experiment's snapshot entry.
-#[cfg(feature = "stage-prof")]
-fn stage_profile_report(program: &str, exp_name: &str, entry: &mut Json) {
-    let snap = gm_sim::prof::snapshot();
-    let mut table = gm_stats::Table::new(vec![
-        "stage".into(),
-        "runs".into(),
-        "skips".into(),
-        "skip%".into(),
-        "wall_ms".into(),
-    ]);
-    let mut rows = Vec::new();
-    let (mut runs, mut skips) = (0u64, 0u64);
-    for c in &snap {
-        let gated = c.runs + c.skips;
-        let skip_pct = if gated > 0 {
-            c.skips as f64 / gated as f64 * 100.0
-        } else {
-            0.0
-        };
-        table.row(vec![
-            c.stage.name().to_owned(),
-            c.runs.to_string(),
-            c.skips.to_string(),
-            format!("{skip_pct:.1}"),
-            format!("{:.2}", c.nanos as f64 / 1e6),
-        ]);
-        let mut j = Json::object();
-        j.set("stage", c.stage.name())
-            .set("runs", c.runs)
-            .set("skips", c.skips)
-            .set("wall_ns", c.nanos);
-        rows.push(j);
-        runs += c.runs;
-        skips += c.skips;
-    }
-    eprintln!("{program}: stage profile for {exp_name}:");
-    eprint!("{}", table.render());
-    // One greppable summary line per experiment (the CI smoke step
-    // asserts the gating fires, i.e. skips > 0).
-    eprintln!("{program}: stage profile {exp_name}: {runs} runs, {skips} skips");
-    entry.set("stage_profile", Json::Array(rows));
-}
-
 /// `gm-run bench`: cold perf snapshot of the simulation engine, with an
 /// optional `--check` regression gate against a committed baseline.
 fn bench_main(a: Args) {
@@ -1243,13 +1251,6 @@ fn bench_main(a: Args) {
     let jobs = BENCH.or_usage(a.jobs());
     let workloads = BENCH.or_usage(a.workloads());
     let (check, snapshot_path) = BENCH.or_usage(bench_outputs(&a));
-    let profile = a.has("--profile");
-    if profile && !cfg!(feature = "stage-prof") {
-        usage_exit(
-            &BENCH,
-            "--profile needs the profiling build; rebuild with --features stage-prof",
-        );
-    }
     // Read the baseline before the (minutes-long) bench run, so a bad
     // path fails fast.
     let baseline = check.as_ref().map(|path| {
@@ -1277,10 +1278,6 @@ fn bench_main(a: Args) {
     let mut entries = Vec::new();
     let (mut total_jobs, mut total_cycles, mut total_wall) = (0u64, 0u64, 0u64);
     for exp in &selected {
-        #[cfg(feature = "stage-prof")]
-        if profile {
-            gm_sim::prof::reset();
-        }
         let out = run_experiment(&runner, exp, scale, None, None)
             .unwrap_or_else(|e| fail(program, &format!("{}: {e}", exp.name)));
         let jobs = (out.cache.hits + out.cache.misses) as u64;
@@ -1302,10 +1299,6 @@ fn bench_main(a: Args) {
                 "mcycles_per_s",
                 format!("{:.1}", mcycles_per_s(out.sim_cycles, out.sim_wall_us)),
             );
-        #[cfg(feature = "stage-prof")]
-        if profile {
-            stage_profile_report(program, exp.name, &mut j);
-        }
         entries.push(j);
     }
     table.row(vec![
@@ -2000,9 +1993,16 @@ mod tests {
     #[test]
     fn bench_usage_mentions_the_bench_only_flags() {
         let u = BENCH.help();
-        for flag in ["--check", "--profile", "--workloads", "stage-prof"] {
+        for flag in ["--check", "--workloads"] {
             assert!(u.contains(flag), "{flag} missing from bench usage");
         }
+        // The profiling switch and its cargo feature are gone: the stage
+        // gates count on every build and `gm-run trace` reports them.
+        assert!(!u.contains("--profile"), "--profile still in bench usage");
+        assert!(
+            !u.contains("prof"),
+            "a profiling build still in bench usage"
+        );
     }
 
     #[test]
@@ -2019,6 +2019,35 @@ mod tests {
             "Konata",
         ] {
             assert!(u.contains(flag), "{flag} missing from trace usage");
+        }
+    }
+
+    #[test]
+    fn trace_validation_rejects_job_flags() {
+        let validation = |list: &[&str]| trace_validation(&TRACE.parse(&args(list)).unwrap());
+        assert_eq!(validation(&["fig6"]), Ok(false));
+        assert_eq!(validation(&["fig6", "--summary"]), Ok(false));
+        assert_eq!(validation(&["--validate", "t.txt"]), Ok(true));
+        assert_eq!(
+            validation(&["--validate-telemetry", "e.jsonl", "--validate", "t.txt"]),
+            Ok(true)
+        );
+        for mode in ["--validate", "--validate-telemetry"] {
+            for extra in [
+                &["--workload", "mcf"][..],
+                &["--scheme", "Unsafe"],
+                &["--scale", "full"],
+                &["--scale", "test"],
+                &["--out", "t2.txt"],
+                &["--summary"],
+                &["fig6"],
+            ] {
+                let mut list = vec![mode, "f"];
+                list.extend_from_slice(extra);
+                let e = validation(&list).unwrap_err();
+                assert!(e.contains("only a file argument"), "{list:?}: {e}");
+                assert!(e.contains(extra[0]), "{list:?}: {e}");
+            }
         }
     }
 

@@ -63,25 +63,21 @@ struct IqEntry {
 const EV_EXEC: u64 = 0;
 const EV_LOAD: u64 = 1;
 
-/// Dispatches one pipeline stage behind its pending-work predicate,
-/// recording run/skip counts and stage wall-time when the `stage-prof`
-/// feature is enabled (and compiling down to a bare `if` when it is
-/// not).
+/// Names of the stage-gated pipeline stages, in dispatch order: entry
+/// `i` names the stage [`Core::stage_counts`] reports in `runs[i]`.
+/// `drain_cancellations` and the FU new-cycle rollover are ungated (they
+/// are the channels that *create* pending work), so they are not listed.
+pub const STAGE_NAMES: [&str; 6] = ["writeback", "commit", "issue", "lsq", "rename", "fetch"];
+
+/// Dispatches one pipeline stage behind its pending-work predicate and
+/// counts the dispatch in `$core.stage_runs[$i]` (`$i` indexes
+/// [`STAGE_NAMES`]). A tick that skips the stage counts nothing, so
+/// skips are ticks minus runs.
 macro_rules! gated_stage {
-    ($stage:ident, $pred:expr, $body:block) => {
-        #[cfg(feature = "stage-prof")]
-        {
-            if $pred {
-                let __stage_start = std::time::Instant::now();
-                $body
-                crate::prof::record_run(crate::prof::Stage::$stage, __stage_start.elapsed());
-            } else {
-                crate::prof::record_skip(crate::prof::Stage::$stage);
-            }
-        }
-        #[cfg(not(feature = "stage-prof"))]
-        {
-            if $pred $body
+    ($core:ident, $i:expr, $pred:expr, $body:block) => {
+        if $pred {
+            $core.stage_runs[$i] += 1;
+            $body
         }
     };
 }
@@ -153,6 +149,12 @@ pub struct Core {
     last_commit_cycle: u64,
     last_committed_iline: u64,
     stats: CoreStats,
+    /// Calls to [`Core::tick`] made while this core was not halted.
+    ticks: u64,
+    /// Per-stage dispatch counts, indexed like [`STAGE_NAMES`]. Kept out
+    /// of [`CoreStats`]: a reference core dispatches every stage on
+    /// every tick, so these differ from the fast path's by design.
+    stage_runs: [u64; 6],
     /// Whether this core is the reference oracle (see
     /// [`Core::set_reference`]): every stage body runs every tick, and
     /// issue scans the whole IQ instead of the wakeup-driven ready set.
@@ -245,6 +247,8 @@ impl Core {
             last_commit_cycle: 0,
             last_committed_iline: u64::MAX,
             stats: CoreStats::default(),
+            ticks: 0,
+            stage_runs: [0; 6],
             reference: false,
             wakeup: WakeupTable::new(cfg.int_regs + cfg.fp_regs),
             ready_seqs: Vec::with_capacity(cfg.iq_entries),
@@ -285,6 +289,14 @@ impl Core {
     /// Statistics so far.
     pub fn stats(&self) -> &CoreStats {
         &self.stats
+    }
+
+    /// Stage-gate work counts so far: `(ticks, runs)`, where `runs[i]`
+    /// counts the ticks that dispatched stage [`STAGE_NAMES`]`[i]`; the
+    /// gate skipped that stage on the other `ticks - runs[i]`. A
+    /// reference core has `runs[i] == ticks` for every stage.
+    pub fn stage_counts(&self) -> (u64, [u64; 6]) {
+        (self.ticks, self.stage_runs)
     }
 
     /// Turns this core into the reference oracle: every tick runs every
@@ -447,24 +459,27 @@ impl Core {
         }
         self.tick_progress = false;
         self.idle_strict_fu_delays = 0;
+        self.ticks += 1;
         self.stats.cycles = now + 1;
         self.fu.new_cycle();
         self.drain_cancellations(mem, now);
         let ungated = self.reference;
-        gated_stage!(Writeback, ungated || self.writeback_pending(now), {
+        gated_stage!(self, 0, ungated || self.writeback_pending(now), {
             self.writeback(mem, now)
         });
-        gated_stage!(Commit, ungated || self.commit_pending(now), {
+        gated_stage!(self, 1, ungated || self.commit_pending(now), {
             self.commit(mem, now)
         });
-        gated_stage!(Issue, ungated || self.issue_pending(), { self.issue(now) });
-        gated_stage!(Lsq, ungated || self.lsq_pending(), {
+        gated_stage!(self, 2, ungated || self.issue_pending(), {
+            self.issue(now)
+        });
+        gated_stage!(self, 3, ungated || self.lsq_pending(), {
             self.lsq_tick(mem, now)
         });
-        gated_stage!(Rename, ungated || self.rename_pending(now), {
+        gated_stage!(self, 4, ungated || self.rename_pending(now), {
             self.rename(now)
         });
-        gated_stage!(Fetch, ungated || self.fetch_pending(now), {
+        gated_stage!(self, 5, ungated || self.fetch_pending(now), {
             self.fetch(mem, now)
         });
         if now.saturating_sub(self.last_commit_cycle) > DEADLOCK_CYCLES {

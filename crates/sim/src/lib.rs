@@ -31,8 +31,6 @@ mod engine;
 mod fu;
 mod lsq;
 mod mem_if;
-#[cfg(feature = "stage-prof")]
-pub mod prof;
 mod regfile;
 mod rob;
 mod trace;
@@ -40,7 +38,7 @@ mod wakeup;
 
 pub use bpred::{BpredConfig, BranchUpdate, Prediction, TournamentPredictor};
 pub use config::{CoreConfig, TaintMode};
-pub use engine::{Core, CoreStats};
+pub use engine::{Core, CoreStats, STAGE_NAMES};
 pub use fu::FuPool;
 pub use lsq::{LoadQueue, StoreQueue};
 pub use mem_if::{AccessKind, LoadResp, MemReq, MemoryBackend, Ticket};

@@ -27,14 +27,32 @@ pub fn scheme_families() -> [Scheme; 5] {
 /// ([`Machine::run_reference`]), asserts that the final cycle count,
 /// every per-core statistic and every memory counter agree, and returns
 /// the production result.
+///
+/// It also checks the stage-gate counters on both sides: every reference
+/// core dispatches every stage on every tick, and no fast core ticks
+/// more often than its reference twin.
 pub fn assert_matches_reference(
     scheme: Scheme,
     cfg: SystemConfig,
     programs: Vec<Program>,
     label: &str,
 ) -> MachineResult {
-    let fast = Machine::new(scheme, cfg, programs.clone()).run(cfg.max_cycles);
-    let reference = Machine::new(scheme, cfg, programs).run_reference(cfg.max_cycles);
+    let mut fast_machine = Machine::new(scheme, cfg, programs.clone());
+    let fast = fast_machine.run(cfg.max_cycles);
+    let mut ref_machine = Machine::new(scheme, cfg, programs);
+    let reference = ref_machine.run_reference(cfg.max_cycles);
+    for i in 0..reference.core_stats.len() {
+        let (ref_ticks, ref_runs) = ref_machine.core(i).stage_counts();
+        assert!(
+            ref_runs.iter().all(|&r| r == ref_ticks),
+            "{label}: reference core {i} skipped a stage: {ref_runs:?} of {ref_ticks} ticks"
+        );
+        let (fast_ticks, _) = fast_machine.core(i).stage_counts();
+        assert!(
+            fast_ticks <= ref_ticks,
+            "{label}: core {i} ticked {fast_ticks} times, the reference only {ref_ticks}"
+        );
+    }
     assert_eq!(
         fast.cycles, reference.cycles,
         "{label}: cycle counts diverge"

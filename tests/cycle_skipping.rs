@@ -12,7 +12,8 @@
 mod common;
 
 use common::{assert_matches_reference, random_program, scheme_families};
-use ghostminion_repro::core::{Scheme, SystemConfig};
+use ghostminion_repro::core::{Machine, Scheme, SystemConfig};
+use ghostminion_repro::sim::STAGE_NAMES;
 use ghostminion_repro::workloads::{Scale, Suite, WorkloadSet};
 use proptest::prelude::*;
 
@@ -64,6 +65,31 @@ fn real_workloads_match_lockstep_on_micro2021() {
 #[test]
 fn stage_gating_matches_ungated_and_lockstep_on_real_workloads() {
     spec2006_unit_matches_reference("mcf");
+}
+
+/// The gates must actually fire. A predicate that degrades to
+/// always-true passes every equivalence check above (it only loses
+/// speed), so on bzip2 and mcf every stage must be skipped at least once
+/// under each scheme family.
+#[test]
+fn every_stage_gate_skips_on_real_workloads() {
+    let set = WorkloadSet::new(Suite::Spec2006, Scale::Test);
+    for name in ["bzip2", "mcf"] {
+        let unit = set.units.iter().find(|u| u.name == name).unwrap();
+        for scheme in scheme_families() {
+            let cfg = SystemConfig::micro2021();
+            let mut machine = Machine::new(scheme, cfg, unit.programs.clone());
+            machine.run(cfg.max_cycles);
+            let (ticks, runs) = machine.core(0).stage_counts();
+            for (stage, r) in STAGE_NAMES.iter().zip(runs) {
+                assert!(
+                    r < ticks,
+                    "{name}/{}: the {stage} gate never skipped ({r} runs in {ticks} ticks)",
+                    scheme.name()
+                );
+            }
+        }
+    }
 }
 
 #[test]
