@@ -1,16 +1,16 @@
 use ghostminion::{Machine, Scheme, SystemConfig};
-use gm_workloads::{spec2006_analogs, Scale};
+use gm_workloads::{Scale, Suite, WorkloadSet};
 use std::time::Instant;
 
 fn main() {
     let cfg = SystemConfig::micro2021();
-    for w in spec2006_analogs(Scale::Test) {
+    for w in WorkloadSet::new(Suite::Spec2006, Scale::Test).units {
         let t0 = Instant::now();
-        let mut m = Machine::new(Scheme::unsafe_baseline(), cfg, vec![w.program.clone()]);
+        let mut m = Machine::new(Scheme::unsafe_baseline(), cfg, vec![w.programs[0].clone()]);
         let r = m.run(50_000_000);
         let dt = t0.elapsed();
         let t1 = Instant::now();
-        let mut mg = Machine::new(Scheme::ghost_minion(), cfg, vec![w.program]);
+        let mut mg = Machine::new(Scheme::ghost_minion(), cfg, w.programs);
         let rg = mg.run(50_000_000);
         let dtg = t1.elapsed();
         println!(

@@ -19,7 +19,7 @@ use crate::runner::{CacheStats, JobFailure, Runner, Shard, Supervision};
 use crate::telemetry::{self, Telemetry};
 use gm_results::{RemoteStore, ResultStore};
 use gm_stats::Json;
-use gm_workloads::Scale;
+use gm_workloads::{Scale, WorkloadSet};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -875,21 +875,18 @@ fn trace_main(a: Args) {
     let ExperimentKind::Sweep(sweep) = &exp.kind else {
         fail(program, &format!("{exp_name} is not a sweep experiment"));
     };
-    let set = sweep.workload_set(scale);
-    let unit = match a.get("--workload") {
-        Some(name) => set
-            .units
-            .iter()
-            .find(|u| u.name == name)
-            .unwrap_or_else(|| {
-                let names: Vec<&str> = set.units.iter().map(|u| u.name).collect();
-                fail(
-                    program,
-                    &format!("{exp_name} has no workload {name:?} (choose from {names:?})"),
-                )
-            }),
-        None => &set.units[0],
+    let names = sweep.unit_names();
+    let name = match a.get("--workload") {
+        Some(name) => *names.iter().find(|n| **n == name).unwrap_or_else(|| {
+            fail(
+                program,
+                &format!("{exp_name} has no workload {name:?} (choose from {names:?})"),
+            )
+        }),
+        None => names[0],
     };
+    let set = WorkloadSet::named(sweep.suite, scale, &[name]);
+    let unit = &set.units[0];
     let col = match a.get("--scheme") {
         Some(label) => sweep
             .schemes

@@ -63,13 +63,21 @@ pub struct Sweep {
 }
 
 impl Sweep {
-    /// Materialises the workload axis at `scale`.
+    /// Materialises the workload axis at `scale`, building only the
+    /// units the sweep lists.
     pub fn workload_set(&self, scale: Scale) -> WorkloadSet {
-        let mut set = WorkloadSet::new(self.suite, scale);
-        if let Some(names) = &self.workloads {
-            set.retain_names(names);
+        match &self.workloads {
+            None => WorkloadSet::new(self.suite, scale),
+            Some(names) => WorkloadSet::named(self.suite, scale, names),
         }
-        set
+    }
+
+    /// The workload axis's names in suite order, without building it.
+    pub fn unit_names(&self) -> Vec<&'static str> {
+        self.suite
+            .unit_names()
+            .filter(|n| self.workloads.as_ref().map_or(true, |w| w.contains(n)))
+            .collect()
     }
 }
 
@@ -243,12 +251,7 @@ pub fn apply_workload_filter(
     let mut known: Vec<&'static str> = Vec::new();
     for e in experiments.iter() {
         if let ExperimentKind::Sweep(s) = &e.kind {
-            known.extend(
-                WorkloadSet::new(s.suite, Scale::Test)
-                    .units
-                    .iter()
-                    .map(|u| u.name),
-            );
+            known.extend(s.suite.unit_names());
         }
     }
     if known.is_empty() {
@@ -263,12 +266,10 @@ pub fn apply_workload_filter(
     }
     for e in experiments.iter_mut() {
         if let ExperimentKind::Sweep(s) = &mut e.kind {
-            let keep: Vec<&'static str> = WorkloadSet::new(s.suite, Scale::Test)
-                .units
-                .iter()
-                .map(|u| u.name)
+            let keep = s
+                .unit_names()
+                .into_iter()
                 .filter(|n| names.iter().any(|m| m == n))
-                .filter(|n| s.workloads.as_ref().map_or(true, |prev| prev.contains(n)))
                 .collect();
             s.workloads = Some(keep);
         }

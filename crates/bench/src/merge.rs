@@ -234,13 +234,10 @@ fn reassemble_sweep(
 ) -> Result<SweepRun, String> {
     let mut sweep = sweep.clone();
     if let Some(names) = workloads {
-        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let full = sweep.workload_set(scale);
-        let statics: Vec<&'static str> = full
-            .units
-            .iter()
-            .map(|u| u.name)
-            .filter(|n| refs.contains(n))
+        let statics: Vec<&'static str> = sweep
+            .unit_names()
+            .into_iter()
+            .filter(|n| names.iter().any(|m| m == n))
             .collect();
         if statics.len() != names.len() {
             return Err(format!(
@@ -359,5 +356,33 @@ mod tests {
         let merged = merge_docs(&[doc(1, 1, "test")], &runner).unwrap();
         assert!(merged.outputs.is_empty());
         assert_eq!(merged.scale, Scale::Test);
+    }
+
+    #[test]
+    fn shard_workload_axis_must_name_suite_units() {
+        let runner = Runner::new(1);
+        let doc = |workloads: &[&str]| {
+            let mut s = Json::object();
+            s.set("index", 1u64).set("count", 1u64);
+            let mut e = Json::object();
+            e.set("name", "fig7")
+                .set(
+                    "workloads",
+                    Json::Array(workloads.iter().map(|&w| w.into()).collect()),
+                )
+                .set("results", Json::Array(Vec::new()));
+            let mut d = Json::object();
+            d.set("generator", "gm-run")
+                .set("scale", "test")
+                .set("shard", s)
+                .set("experiments", Json::Array(vec![e]));
+            d
+        };
+        // mcf is a SPEC2006 unit, not one of fig7's Parsec units.
+        let err = merge_docs(&[doc(&["canneal", "mcf"])], &runner).unwrap_err();
+        assert!(err.contains("names unknown workloads"), "{err}");
+        // A known name passes the axis check and fails on coverage.
+        let err = merge_docs(&[doc(&["canneal"])], &runner).unwrap_err();
+        assert!(err.contains("(canneal, Unsafe) missing"), "{err}");
     }
 }

@@ -101,8 +101,7 @@ pub fn job_descriptor(
 /// use gm_results::job_fingerprint;
 /// use gm_workloads::{Scale, Suite, WorkloadSet};
 ///
-/// let mut set = WorkloadSet::new(Suite::Spec2006, Scale::Test);
-/// set.retain_names(&["gamess"]);
+/// let set = WorkloadSet::named(Suite::Spec2006, Scale::Test, &["gamess"]);
 /// let unit = &set.units[0];
 /// let cfg = SystemConfig::micro2021();
 ///
@@ -127,9 +126,7 @@ mod tests {
     use gm_workloads::{Suite, WorkloadSet};
 
     fn unit(name: &str) -> WorkloadUnit {
-        let mut set = WorkloadSet::new(Suite::Spec2006, Scale::Test);
-        set.retain_names(&[name]);
-        set.units.remove(0)
+        unit_at_scale(name, Scale::Test)
     }
 
     #[test]
@@ -175,8 +172,7 @@ mod tests {
     }
 
     fn unit_at_scale(name: &str, scale: Scale) -> WorkloadUnit {
-        let mut set = WorkloadSet::new(Suite::Spec2006, scale);
-        set.retain_names(&[name]);
+        let mut set = WorkloadSet::named(Suite::Spec2006, scale, &[name]);
         set.units.remove(0)
     }
 

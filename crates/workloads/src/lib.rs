@@ -22,6 +22,12 @@
 //! * `gamess`/`hmmer`/`h264ref` — small working sets that live in the
 //!   L1, where every scheme should be near 1.0.
 //!
+//! Each suite is one static table of analogs in figure order: a name, an
+//! RNG seed and a body that emits one thread's kernels. One builder turns
+//! a table entry into a [`WorkloadUnit`], so [`Suite::unit_names`] reads
+//! names without assembling anything and [`WorkloadSet::named`] assembles
+//! only the units it is asked for.
+//!
 //! Every program is deterministic (fixed seeds), self-contained
 //! (data segments included) and terminates with `halt`.
 
@@ -30,11 +36,9 @@ mod parsec;
 mod spec2006;
 mod spec2017;
 
-pub use parsec::{parsec_analogs, ParsecWorkload};
-pub use spec2006::spec2006_analogs;
-pub use spec2017::spec2017_analogs;
-
-use gm_isa::Program;
+use gm_isa::{Asm, Program};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// How big a run should be; chosen per harness.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -78,13 +82,6 @@ impl Scale {
     }
 }
 
-/// A named single-threaded workload.
-#[derive(Clone, Debug)]
-pub struct Workload {
-    pub name: &'static str,
-    pub program: Program,
-}
-
 /// The benchmark suites the paper evaluates on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Suite {
@@ -105,13 +102,74 @@ impl Suite {
             Suite::Parsec => "parsec",
         }
     }
+
+    /// The suite's unit names in figure order. Builds nothing.
+    pub fn unit_names(self) -> impl Iterator<Item = &'static str> {
+        self.table().analogs.iter().map(|a| a.name)
+    }
+
+    fn table(self) -> &'static Table {
+        match self {
+            Suite::Spec2006 => &spec2006::TABLE,
+            Suite::Spec2017 => &spec2017::TABLE,
+            Suite::Parsec => &parsec::TABLE,
+        }
+    }
 }
 
-/// One unit of simulation: a named workload with one program per core.
-///
-/// This is the common shape behind single-threaded [`Workload`]s (one
-/// program) and 4-thread [`ParsecWorkload`]s (four programs), so a
-/// single sweep loop can run either.
+/// One analog in a suite table.
+struct Analog {
+    name: &'static str,
+    seed: u64,
+    /// Emits one thread's kernels: `(asm, rng, thread id, scale factor)`.
+    body: fn(&mut Asm, &mut StdRng, u64, u64),
+}
+
+const fn analog(
+    name: &'static str,
+    seed: u64,
+    body: fn(&mut Asm, &mut StdRng, u64, u64),
+) -> Analog {
+    Analog { name, seed, body }
+}
+
+/// A suite's analogs in figure order and how to assemble them.
+struct Table {
+    /// Each thread's RNG is seeded with `seed_base ^ seed ^ tid`.
+    seed_base: u64,
+    /// Programs per unit. A single-threaded program is named after its
+    /// unit; thread `tid` of a multi-threaded one is `{name}-t{tid}`.
+    threads: u64,
+    analogs: &'static [Analog],
+}
+
+impl Table {
+    /// The one place an analog becomes programs.
+    fn build(&self, analog: &Analog, scale: Scale) -> WorkloadUnit {
+        let programs = (0..self.threads)
+            .map(|tid| {
+                let mut a = Asm::new(if self.threads == 1 {
+                    analog.name.to_owned()
+                } else {
+                    format!("{}-t{tid}", analog.name)
+                });
+                let mut rng = StdRng::seed_from_u64(self.seed_base ^ analog.seed ^ tid);
+                (analog.body)(&mut a, &mut rng, tid, scale.factor());
+                a.halt();
+                a.assemble()
+            })
+            .collect();
+        WorkloadUnit {
+            name: analog.name,
+            programs,
+            program_shas: std::sync::OnceLock::new(),
+        }
+    }
+}
+
+/// One unit of simulation: a named workload with one program per core —
+/// one for the SPEC suites, four for Parsec — so a single sweep loop can
+/// run either.
 #[derive(Debug)]
 pub struct WorkloadUnit {
     pub name: &'static str,
@@ -147,26 +205,6 @@ impl Clone for WorkloadUnit {
     }
 }
 
-impl From<Workload> for WorkloadUnit {
-    fn from(w: Workload) -> Self {
-        Self {
-            name: w.name,
-            programs: vec![w.program],
-            program_shas: std::sync::OnceLock::new(),
-        }
-    }
-}
-
-impl From<ParsecWorkload> for WorkloadUnit {
-    fn from(w: ParsecWorkload) -> Self {
-        Self {
-            name: w.name,
-            programs: w.thread_programs,
-            program_shas: std::sync::OnceLock::new(),
-        }
-    }
-}
-
 /// A suite of [`WorkloadUnit`]s at one scale — the workload axis of an
 /// experiment sweep.
 #[derive(Clone, Debug)]
@@ -178,27 +216,20 @@ pub struct WorkloadSet {
 impl WorkloadSet {
     /// Builds the full workload set for `suite` at `scale`.
     pub fn new(suite: Suite, scale: Scale) -> Self {
-        let units = match suite {
-            Suite::Spec2006 => spec2006_analogs(scale)
-                .into_iter()
-                .map(WorkloadUnit::from)
-                .collect(),
-            Suite::Spec2017 => spec2017_analogs(scale)
-                .into_iter()
-                .map(WorkloadUnit::from)
-                .collect(),
-            Suite::Parsec => parsec_analogs(scale)
-                .into_iter()
-                .map(WorkloadUnit::from)
-                .collect(),
-        };
-        Self { suite, units }
+        Self::named(suite, scale, &suite.unit_names().collect::<Vec<_>>())
     }
 
-    /// Keeps only the units whose names appear in `names` (suite order is
-    /// preserved). Useful for scaled-down smoke runs and tests.
-    pub fn retain_names(&mut self, names: &[&str]) {
-        self.units.retain(|u| names.contains(&u.name));
+    /// Builds only the units of `suite` whose names appear in `names`, in
+    /// suite order; names the suite lacks are skipped.
+    pub fn named(suite: Suite, scale: Scale, names: &[&str]) -> Self {
+        let table = suite.table();
+        let units = table
+            .analogs
+            .iter()
+            .filter(|a| names.contains(&a.name))
+            .map(|a| table.build(a, scale))
+            .collect();
+        Self { suite, units }
     }
 
     /// Number of units in the set.
@@ -216,6 +247,8 @@ impl WorkloadSet {
 mod tests {
     use super::*;
 
+    const SUITES: [Suite; 3] = [Suite::Spec2006, Suite::Spec2017, Suite::Parsec];
+
     #[test]
     fn scale_factors_are_ordered() {
         assert!(Scale::Test.factor() < Scale::Bench.factor());
@@ -224,9 +257,9 @@ mod tests {
 
     #[test]
     fn spec2006_has_the_figure6_lineup() {
-        let w = spec2006_analogs(Scale::Test);
+        let w = WorkloadSet::new(Suite::Spec2006, Scale::Test);
         assert_eq!(w.len(), 25);
-        let names: Vec<&str> = w.iter().map(|w| w.name).collect();
+        let names: Vec<&str> = w.units.iter().map(|u| u.name).collect();
         for expect in ["mcf", "libquantum", "gobmk", "povray", "xalancbmk"] {
             assert!(names.contains(&expect), "{expect} missing");
         }
@@ -234,31 +267,27 @@ mod tests {
 
     #[test]
     fn spec2017_has_the_figure8_lineup() {
-        let w = spec2017_analogs(Scale::Test);
+        let w = WorkloadSet::new(Suite::Spec2017, Scale::Test);
         assert_eq!(w.len(), 18);
     }
 
     #[test]
     fn parsec_has_the_figure7_lineup() {
-        let w = parsec_analogs(Scale::Test);
+        let w = WorkloadSet::new(Suite::Parsec, Scale::Test);
         assert_eq!(w.len(), 7);
-        for p in &w {
-            assert_eq!(p.thread_programs.len(), 4, "{}: 4-thread Parsec", p.name);
+        for p in &w.units {
+            assert_eq!(p.programs.len(), 4, "{}: 4-thread Parsec", p.name);
         }
     }
 
     #[test]
     fn all_programs_are_statically_valid() {
-        for w in spec2006_analogs(Scale::Test) {
-            assert!(w.program.validate().is_ok(), "{} invalid", w.name);
-            assert!(!w.program.is_empty());
-        }
-        for w in spec2017_analogs(Scale::Test) {
-            assert!(w.program.validate().is_ok(), "{} invalid", w.name);
-        }
-        for p in parsec_analogs(Scale::Test) {
-            for t in &p.thread_programs {
-                assert!(t.validate().is_ok(), "{} invalid", p.name);
+        for suite in SUITES {
+            for u in WorkloadSet::new(suite, Scale::Test).units {
+                for p in &u.programs {
+                    assert!(p.validate().is_ok(), "{} invalid", u.name);
+                    assert!(!p.is_empty());
+                }
             }
         }
     }
@@ -276,23 +305,49 @@ mod tests {
     }
 
     #[test]
-    fn retain_names_filters_in_suite_order() {
-        let mut s = WorkloadSet::new(Suite::Spec2006, Scale::Test);
-        s.retain_names(&["hmmer", "gamess"]);
+    fn named_filters_in_suite_order() {
+        let s = WorkloadSet::named(Suite::Spec2006, Scale::Test, &["hmmer", "gamess"]);
         let names: Vec<&str> = s.units.iter().map(|u| u.name).collect();
         // gamess precedes hmmer in the suite lineup regardless of the
         // filter's order.
         assert_eq!(names, ["gamess", "hmmer"]);
-        s.retain_names(&[]);
-        assert!(s.is_empty());
+        assert!(WorkloadSet::named(Suite::Spec2006, Scale::Test, &[]).is_empty());
+        // A Parsec name asked of SPEC2006 is skipped, not an error.
+        let s = WorkloadSet::named(Suite::Spec2006, Scale::Test, &["canneal", "mcf"]);
+        let names: Vec<&str> = s.units.iter().map(|u| u.name).collect();
+        assert_eq!(names, ["mcf"]);
+    }
+
+    #[test]
+    fn named_units_equal_full_suite_units() {
+        let cases = SUITES
+            .map(|s| (s, Scale::Test))
+            .into_iter()
+            .chain([(Suite::Spec2006, Scale::Bench)]);
+        for (suite, scale) in cases {
+            let full = WorkloadSet::new(suite, scale);
+            let built: Vec<&str> = full.units.iter().map(|u| u.name).collect();
+            assert_eq!(suite.unit_names().collect::<Vec<_>>(), built);
+            for unit in &full.units {
+                let alone = WorkloadSet::named(suite, scale, &[unit.name]);
+                assert_eq!(alone.len(), 1);
+                assert_eq!(alone.units[0].name, unit.name);
+                assert!(
+                    alone.units[0].programs == unit.programs,
+                    "{}/{}: built alone differs from the full suite",
+                    suite.name(),
+                    unit.name
+                );
+            }
+        }
     }
 
     #[test]
     fn workloads_are_deterministic() {
-        let a = spec2006_analogs(Scale::Test);
-        let b = spec2006_analogs(Scale::Test);
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert_eq!(x.program, y.program, "{} must be reproducible", x.name);
+        let a = WorkloadSet::new(Suite::Spec2006, Scale::Test);
+        let b = WorkloadSet::new(Suite::Spec2006, Scale::Test);
+        for (x, y) in a.units.iter().zip(&b.units) {
+            assert_eq!(x.programs, y.programs, "{} must be reproducible", x.name);
         }
     }
 }

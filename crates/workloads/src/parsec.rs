@@ -8,17 +8,8 @@
 //! Shared-only / commit-replay coherence extension (§4.6).
 
 use crate::kernels::*;
-use crate::Scale;
-use gm_isa::{Asm, Program, Reg};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-/// A 4-thread workload: one program per core.
-#[derive(Clone, Debug)]
-pub struct ParsecWorkload {
-    pub name: &'static str,
-    pub thread_programs: Vec<Program>,
-}
+use crate::{analog, Table};
+use gm_isa::{Asm, Reg};
 
 const M: u64 = 0x0100_0000;
 /// Shared region used by lock-based workloads (same address in every
@@ -56,72 +47,53 @@ fn locked_increments(a: &mut Asm, lock: u64, counter: u64, times: u64) {
     a.bne(i, n, outer);
 }
 
-fn threads(
-    name: &'static str,
-    seed: u64,
-    scale: Scale,
-    per_thread: impl Fn(&mut Asm, &mut StdRng, u64, u64),
-) -> ParsecWorkload {
-    let f = scale.factor();
-    let thread_programs = (0..4u64)
-        .map(|tid| {
-            let mut a = Asm::new(format!("{name}-t{tid}"));
-            let mut rng = StdRng::seed_from_u64(0x9a95_ec00 ^ seed ^ tid);
-            per_thread(&mut a, &mut rng, tid, f);
-            a.halt();
-            a.assemble()
-        })
-        .collect();
-    ParsecWorkload {
-        name,
-        thread_programs,
-    }
-}
-
-/// Builds the 7 Parsec analogs at the given scale, in Fig. 7 order.
-pub fn parsec_analogs(scale: Scale) -> Vec<ParsecWorkload> {
-    vec![
-        threads("blackscholes", 1, scale, |a, _, tid, f| {
+/// The 7 Parsec analogs, in Fig. 7 order.
+pub(crate) static TABLE: Table = Table {
+    seed_base: 0x9a95_ec00,
+    threads: 4,
+    analogs: &[
+        analog("blackscholes", 1, |a, _, tid, f| {
             // Embarrassingly parallel option pricing: pure FP per thread.
             fp_compute(a, 900 * f + tid * 7, 8);
         }),
-        threads("canneal", 2, scale, |a, r, tid, f| {
+        analog("canneal", 2, |a, r, tid, f| {
             // Random element swaps over a big netlist + shared progress
             // counter under a lock.
             pointer_chase(a, r, M * (1 + tid), 1 << 13, 250 * f, 8, M * 9 + tid * M);
             locked_increments(a, SHARED, SHARED + 64, 4 * f);
         }),
-        threads("ferret", 3, scale, |a, r, tid, f| {
+        analog("ferret", 3, |a, r, tid, f| {
             // Similarity search pipeline: gathers + ranking loops.
             indexed_gather(a, r, M * (1 + tid), M * (5 + tid), 1024, 1 << 15, f / 2 + 1);
             dp_inner(a, M * (9 + tid), 1024, f / 3 + 1);
         }),
-        threads("fluidanimate", 4, scale, |a, _, tid, f| {
+        analog("fluidanimate", 4, |a, _, tid, f| {
             stencil(a, M * (1 + tid), 256, 32, f / 2 + 1);
             locked_increments(a, SHARED, SHARED + 64, 3 * f);
         }),
-        threads("freqmine", 5, scale, |a, r, tid, f| {
+        analog("freqmine", 5, |a, r, tid, f| {
             // FP-tree mining: pointer chases over private trees.
             pointer_chase(a, r, M * (1 + tid), 1 << 12, 300 * f, 6, M * (9 + tid));
         }),
-        threads("streamcluster", 6, scale, |a, _, tid, f| {
+        analog("streamcluster", 6, |a, _, tid, f| {
             // Distance computations over streamed points.
             stream_sum(a, M * (1 + tid), 1 << 15, f / 2 + 1, 8, true);
             fp_compute(a, 200 * f, 50);
         }),
-        threads("swaptions", 7, scale, |a, _, tid, f| {
+        analog("swaptions", 7, |a, _, tid, f| {
             fp_compute(a, 1100 * f + tid * 3, 12);
         }),
-    ]
-}
+    ],
+};
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{Scale, Suite, WorkloadSet};
+    use gm_isa::Program;
 
     #[test]
     fn lineup_matches_figure7() {
-        let names: Vec<&str> = parsec_analogs(Scale::Test).iter().map(|p| p.name).collect();
+        let names: Vec<&str> = Suite::Parsec.unit_names().collect();
         assert_eq!(
             names,
             vec![
@@ -138,12 +110,12 @@ mod tests {
 
     #[test]
     fn threads_have_disjoint_private_data() {
-        for p in parsec_analogs(Scale::Test) {
+        for p in WorkloadSet::new(Suite::Parsec, Scale::Test).units {
             if p.name == "canneal" || p.name == "fluidanimate" {
                 continue; // intentionally share a region
             }
             let mut ranges: Vec<(u64, u64)> = Vec::new();
-            for t in &p.thread_programs {
+            for t in &p.programs {
                 for d in &t.program_data() {
                     for &(b, e) in &ranges {
                         assert!(
@@ -175,9 +147,8 @@ mod tests {
 
     #[test]
     fn locked_workloads_reference_the_shared_region() {
-        let all = parsec_analogs(Scale::Test);
-        let canneal = all.iter().find(|p| p.name == "canneal").unwrap();
-        let has_ll = canneal.thread_programs[0]
+        let set = WorkloadSet::named(Suite::Parsec, Scale::Test, &["canneal"]);
+        let has_ll = set.units[0].programs[0]
             .insts
             .iter()
             .any(|i| i.op == gm_isa::Op::Ll);

@@ -7,14 +7,14 @@
 
 use ghostminion_repro::core::{Machine, Scheme, SystemConfig};
 use ghostminion_repro::sim::MemoryBackend;
-use ghostminion_repro::workloads::{parsec_analogs, Scale};
+use ghostminion_repro::workloads::{Scale, Suite, WorkloadSet};
 
 fn main() {
-    for w in parsec_analogs(Scale::Test) {
+    for w in WorkloadSet::new(Suite::Parsec, Scale::Test).units {
         let mut m = Machine::new(
             Scheme::ghost_minion(),
             SystemConfig::micro2021(),
-            w.thread_programs.clone(),
+            w.programs.clone(),
         );
         let r = m.run(u64::MAX);
         println!(

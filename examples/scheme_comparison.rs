@@ -6,14 +6,11 @@
 //! ```
 
 use ghostminion_repro::core::{Machine, Scheme, SystemConfig};
-use ghostminion_repro::workloads::{spec2006_analogs, Scale};
+use ghostminion_repro::workloads::{Scale, Suite, WorkloadSet};
 
 fn main() {
     let picks = ["gamess", "hmmer", "mcf", "xalancbmk"];
-    let workloads: Vec<_> = spec2006_analogs(Scale::Test)
-        .into_iter()
-        .filter(|w| picks.contains(&w.name))
-        .collect();
+    let workloads = WorkloadSet::named(Suite::Spec2006, Scale::Test, &picks).units;
     let schemes = Scheme::figure_lineup();
 
     print!("{:12}", "workload");
@@ -22,16 +19,12 @@ fn main() {
     }
     println!();
     for w in &workloads {
-        let base = Machine::new(
-            schemes[0],
-            SystemConfig::micro2021(),
-            vec![w.program.clone()],
-        )
-        .run(u64::MAX)
-        .cycles as f64;
+        let base = Machine::new(schemes[0], SystemConfig::micro2021(), w.programs.clone())
+            .run(u64::MAX)
+            .cycles as f64;
         print!("{:12}", w.name);
         for s in schemes.iter().skip(1) {
-            let c = Machine::new(*s, SystemConfig::micro2021(), vec![w.program.clone()])
+            let c = Machine::new(*s, SystemConfig::micro2021(), w.programs.clone())
                 .run(u64::MAX)
                 .cycles as f64;
             print!("  {:>18.3}", c / base);

@@ -6,17 +6,17 @@
 //! ```
 
 use ghostminion_repro::core::{GhostMinionConfig, Machine, Scheme, SystemConfig};
-use ghostminion_repro::workloads::{spec2006_analogs, Scale};
+use ghostminion_repro::workloads::{Scale, Suite, WorkloadSet};
 
 fn main() {
-    let w = spec2006_analogs(Scale::Test)
-        .into_iter()
-        .find(|w| w.name == "povray")
+    let w = WorkloadSet::named(Suite::Spec2006, Scale::Test, &["povray"])
+        .units
+        .pop()
         .expect("povray analog present");
     let base = Machine::new(
         Scheme::unsafe_baseline(),
         SystemConfig::micro2021(),
-        vec![w.program.clone()],
+        w.programs.clone(),
     )
     .run(u64::MAX)
     .cycles as f64;
@@ -29,7 +29,7 @@ fn main() {
                 async_reload,
                 ..GhostMinionConfig::default()
             });
-            let c = Machine::new(scheme, SystemConfig::micro2021(), vec![w.program.clone()])
+            let c = Machine::new(scheme, SystemConfig::micro2021(), w.programs.clone())
                 .run(u64::MAX)
                 .cycles as f64;
             print!(

@@ -20,11 +20,10 @@ use proptest::prelude::*;
 /// Runs the `Scale::Test` SPEC CPU2006 analog `name` through the real
 /// Table 1 machine under the five scheme families.
 fn spec2006_unit_matches_reference(name: &str) {
-    let set = WorkloadSet::new(Suite::Spec2006, Scale::Test);
+    let set = WorkloadSet::named(Suite::Spec2006, Scale::Test, &[name]);
     let unit = set
         .units
-        .iter()
-        .find(|u| u.name == name)
+        .first()
         .unwrap_or_else(|| panic!("{name} analog exists"));
     for scheme in scheme_families() {
         assert_matches_reference(
@@ -40,7 +39,8 @@ fn spec2006_unit_matches_reference(name: &str) {
 /// cycle is elided, idle accounting is per core, and per-core stage
 /// gates must not desynchronise cores that share a memory system.
 fn parsec_unit0_matches_reference(scheme: Scheme) {
-    let set = WorkloadSet::new(Suite::Parsec, Scale::Test);
+    let first = Suite::Parsec.unit_names().next().expect("parsec has units");
+    let set = WorkloadSet::named(Suite::Parsec, Scale::Test, &[first]);
     let unit = &set.units[0];
     assert!(unit.programs.len() > 1, "parsec units are multi-threaded");
     assert_matches_reference(
@@ -73,9 +73,11 @@ fn stage_gating_matches_ungated_and_lockstep_on_real_workloads() {
 /// under each scheme family.
 #[test]
 fn every_stage_gate_skips_on_real_workloads() {
-    let set = WorkloadSet::new(Suite::Spec2006, Scale::Test);
-    for name in ["bzip2", "mcf"] {
-        let unit = set.units.iter().find(|u| u.name == name).unwrap();
+    let names = ["bzip2", "mcf"];
+    let set = WorkloadSet::named(Suite::Spec2006, Scale::Test, &names);
+    assert_eq!(set.len(), names.len());
+    for unit in &set.units {
+        let name = unit.name;
         for scheme in scheme_families() {
             let cfg = SystemConfig::micro2021();
             let mut machine = Machine::new(scheme, cfg, unit.programs.clone());

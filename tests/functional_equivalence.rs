@@ -7,7 +7,7 @@ mod common;
 use common::random_program;
 use ghostminion_repro::core::{Machine, Scheme, SystemConfig};
 use ghostminion_repro::isa::{Program, Reg};
-use ghostminion_repro::workloads::{spec2006_analogs, Scale};
+use ghostminion_repro::workloads::{Scale, Suite, WorkloadSet};
 use proptest::prelude::*;
 
 fn final_regs(scheme: Scheme, prog: &Program) -> Vec<u64> {
@@ -20,14 +20,14 @@ fn final_regs(scheme: Scheme, prog: &Program) -> Vec<u64> {
 fn spec_analogs_agree_across_all_schemes() {
     // Architectural accumulator values must match between the unsafe
     // baseline and every protected scheme.
-    for w in spec2006_analogs(Scale::Test)
-        .into_iter()
-        .filter(|w| ["gamess", "hmmer", "bzip2", "omnetpp"].contains(&w.name))
-    {
-        let reference = final_regs(Scheme::unsafe_baseline(), &w.program);
+    let names = ["gamess", "hmmer", "bzip2", "omnetpp"];
+    let set = WorkloadSet::named(Suite::Spec2006, Scale::Test, &names);
+    assert_eq!(set.len(), names.len());
+    for w in &set.units {
+        let reference = final_regs(Scheme::unsafe_baseline(), &w.programs[0]);
         for scheme in Scheme::figure_lineup().into_iter().skip(1) {
             assert_eq!(
-                final_regs(scheme, &w.program),
+                final_regs(scheme, &w.programs[0]),
                 reference,
                 "{} diverges under {}",
                 w.name,

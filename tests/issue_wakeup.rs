@@ -22,12 +22,8 @@ use proptest::prelude::*;
 /// part of the scan to reproduce, across the five scheme families.
 #[test]
 fn real_workloads_match_linear_scan_on_micro2021() {
-    let set = WorkloadSet::new(Suite::Spec2006, Scale::Test);
-    let unit = set
-        .units
-        .iter()
-        .find(|u| u.name == "povray")
-        .expect("povray analog exists");
+    let set = WorkloadSet::named(Suite::Spec2006, Scale::Test, &["povray"]);
+    let unit = set.units.first().expect("povray analog exists");
     for scheme in scheme_families() {
         assert_matches_reference(
             scheme,
@@ -43,8 +39,12 @@ fn real_workloads_match_linear_scan_on_micro2021() {
 /// with `cycle_skipping.rs`'s unit 0.
 #[test]
 fn multicore_parsec_matches_linear_scan() {
-    let set = WorkloadSet::new(Suite::Parsec, Scale::Test);
-    let unit = &set.units[1];
+    let second = Suite::Parsec
+        .unit_names()
+        .nth(1)
+        .expect("parsec has two units");
+    let set = WorkloadSet::named(Suite::Parsec, Scale::Test, &[second]);
+    let unit = &set.units[0];
     assert!(unit.programs.len() > 1, "parsec units are multi-threaded");
     assert_matches_reference(
         Scheme::ghost_minion(),

@@ -4,19 +4,19 @@
 //! factors that EXPERIMENTS.md reports.
 
 use ghostminion_repro::core::{Machine, Scheme, SystemConfig};
-use ghostminion_repro::workloads::{spec2006_analogs, Scale, Workload};
+use ghostminion_repro::isa::Program;
+use ghostminion_repro::workloads::{Scale, Suite, WorkloadSet};
 
-fn cycles(scheme: Scheme, w: &Workload) -> f64 {
-    Machine::new(scheme, SystemConfig::micro2021(), vec![w.program.clone()])
+fn cycles(scheme: Scheme, w: &Program) -> f64 {
+    Machine::new(scheme, SystemConfig::micro2021(), vec![w.clone()])
         .run(u64::MAX)
         .cycles as f64
 }
 
-fn pick(name: &str) -> Workload {
-    spec2006_analogs(Scale::Test)
-        .into_iter()
-        .find(|w| w.name == name)
-        .expect("workload present")
+fn pick(name: &str) -> Program {
+    let mut set = WorkloadSet::named(Suite::Spec2006, Scale::Test, &[name]);
+    assert_eq!(set.len(), 1, "{name} analog exists");
+    set.units.remove(0).programs.remove(0)
 }
 
 #[test]
@@ -115,7 +115,7 @@ fn fig10_events_are_rare() {
         let r = Machine::new(
             Scheme::ghost_minion(),
             SystemConfig::micro2021(),
-            vec![w.program.clone()],
+            vec![w.clone()],
         )
         .run(u64::MAX);
         let loads = r.mem_stats.get("loads").max(1) as f64;

@@ -128,12 +128,8 @@ fn assert_neutral(scheme: Scheme, cfg: SystemConfig, programs: Vec<Program>, lab
 /// families with the most different stall behaviour.
 #[test]
 fn tracing_is_neutral_on_real_workloads() {
-    let set = WorkloadSet::new(Suite::Spec2006, Scale::Test);
-    let unit = set
-        .units
-        .iter()
-        .find(|u| u.name == "bzip2")
-        .expect("bzip2 analog exists");
+    let set = WorkloadSet::named(Suite::Spec2006, Scale::Test, &["bzip2"]);
+    let unit = set.units.first().expect("bzip2 analog exists");
     for scheme in scheme_families() {
         assert_neutral(
             scheme,
@@ -149,7 +145,8 @@ fn tracing_is_neutral_on_real_workloads() {
 /// scheduler or the cycle-skip path.
 #[test]
 fn tracing_is_neutral_on_multicore_parsec() {
-    let set = WorkloadSet::new(Suite::Parsec, Scale::Test);
+    let first = Suite::Parsec.unit_names().next().expect("parsec has units");
+    let set = WorkloadSet::named(Suite::Parsec, Scale::Test, &[first]);
     let unit = &set.units[0];
     assert!(unit.programs.len() > 1, "parsec units are multi-threaded");
     for scheme in [Scheme::ghost_minion(), Scheme::stt_spectre()] {
