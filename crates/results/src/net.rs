@@ -71,6 +71,9 @@ impl NetIo for TcpIo {
             io::Error::new(io::ErrorKind::InvalidInput, "address resolves to nothing")
         })?;
         let mut stream = TcpStream::connect_timeout(&sockaddr, self.timeouts.connect)?;
+        // One small request frame, then wait for the reply: Nagle's
+        // algorithm would only hold it back.
+        stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(self.timeouts.read))?;
         stream.set_write_timeout(Some(self.timeouts.write))?;
         write_frame(&mut stream, request)?;

@@ -32,7 +32,10 @@ pub const PROTOCOL_VERSION: u64 = 1;
 /// garbled length prefix from looking like a multi-GiB allocation.
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 
-/// Writes one frame: 4-byte big-endian length, then the payload.
+/// Writes one frame: 4-byte big-endian length, then the payload. The
+/// frame is assembled in one buffer and handed to `w` in one
+/// `write_all`, so an unbuffered socket sends it as one segment rather
+/// than a lone length prefix that waits on the peer's delayed ACK.
 pub fn write_frame(w: &mut dyn Write, payload: &[u8]) -> io::Result<()> {
     if payload.len() > MAX_FRAME {
         return Err(io::Error::new(
@@ -40,8 +43,10 @@ pub fn write_frame(w: &mut dyn Write, payload: &[u8]) -> io::Result<()> {
             format!("frame of {} bytes exceeds MAX_FRAME", payload.len()),
         ));
     }
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -317,6 +322,35 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"hello");
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"");
         assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
+    }
+
+    /// Counts the `write` calls a frame costs.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn one_frame_is_one_write() {
+        for payload in [&b""[..], b"hello", &[7u8; 5000]] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(w.writes, 1, "{}-byte payload", payload.len());
+            assert_eq!(read_frame(&mut &w.bytes[..]).unwrap().unwrap(), payload);
+        }
     }
 
     #[test]

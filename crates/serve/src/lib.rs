@@ -329,6 +329,8 @@ fn loopback(addr: SocketAddr) -> SocketAddr {
 
 /// Serves one connection until EOF, error, or drain.
 fn serve_connection(inner: &Inner, mut stream: TcpStream) {
+    // Each response is one frame the client is waiting on; send it now.
+    let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(inner.cfg.read_timeout));
     let _ = stream.set_write_timeout(Some(inner.cfg.write_timeout));
     loop {

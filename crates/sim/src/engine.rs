@@ -53,11 +53,41 @@ struct Fetched {
     fetched_at: u64,
 }
 
+/// One issue-queue slot. The IQ is a fixed slab: rename fills a free
+/// slot, issue and squash free it, and nothing ever moves.
 #[derive(Clone, Copy, Debug)]
 struct IqEntry {
+    /// The occupant's seq, or [`IQ_FREE`].
     seq: u64,
     srcs: [Option<PhysReg>; 2],
     class: FuClass,
+}
+
+/// The seq of an empty IQ slot (real seqs start at 1).
+const IQ_FREE: u64 = 0;
+
+/// What one send attempt did with a send-list load.
+enum SendOutcome {
+    /// Parked, blocked on a store, or forwarded: the load left the send
+    /// list without claiming a memory port.
+    Left,
+    /// Sent to memory on a port; the load left the send list.
+    Sent,
+    /// Rejected for MSHR pressure on a port; the load stays on the send
+    /// list, backing off until the given cycle.
+    Retry(u64),
+}
+
+/// Inserts `(seq, x)` into `list`, kept sorted by seq, unless `seq` is
+/// already there; returns whether it inserted. Scans from the back,
+/// where joins usually land.
+fn insert_by_seq<T>(list: &mut Vec<(u64, T)>, seq: u64, x: T) -> bool {
+    let pos = list.iter().rposition(|e| e.0 <= seq).map_or(0, |i| i + 1);
+    if pos > 0 && list[pos - 1].0 == seq {
+        return false;
+    }
+    list.insert(pos, (seq, x));
+    true
 }
 
 const EV_EXEC: u64 = 0;
@@ -130,7 +160,9 @@ pub struct Core {
     bpred: TournamentPredictor,
     regs: RegFile,
     rob: Rob,
+    /// The IQ slab (`iq_entries` slots) and its free slots.
     iq: Vec<IqEntry>,
+    iq_free: Vec<u32>,
     lq: LoadQueue,
     sq: StoreQueue,
     fu: FuPool,
@@ -156,30 +188,34 @@ pub struct Core {
     /// every tick, so these differ from the fast path's by design.
     stage_runs: [u64; 6],
     /// Whether this core is the reference oracle (see
-    /// [`Core::set_reference`]): every stage body runs every tick, and
-    /// issue scans the whole IQ instead of the wakeup-driven ready set.
+    /// [`Core::set_reference`]): every stage body runs every tick, issue
+    /// scans the whole IQ in seq order instead of the wakeup-driven ready
+    /// set, and the LSQ scans the whole LQ instead of the send list.
     reference: bool,
     /// Per-physical-register lists of IQ entries waiting on that value.
     wakeup: WakeupTable,
-    /// Seqs of IQ entries whose sources are all ready, sorted (so issue
-    /// selects oldest-first, exactly like the linear scan did).
-    ready_seqs: Vec<u64>,
-    /// Seqs of non-pipelined (IntDiv/FpDiv/FpSqrt) IQ entries, sorted.
-    /// Under §4.9 strict FU ordering these drive the blocked/strict
-    /// accounting even while their sources are not ready.
-    nonpipe_seqs: Vec<u64>,
+    /// `(seq, slot)` of the IQ entries whose sources are all ready,
+    /// sorted by seq (so issue selects oldest-first, exactly like the
+    /// seq-ordered scan).
+    ready: Vec<(u64, u32)>,
+    /// `(seq, slot)` of the non-pipelined (IntDiv/FpDiv/FpSqrt) IQ
+    /// entries, sorted by seq. Under §4.9 strict FU ordering these drive
+    /// the blocked/strict accounting even while their sources are not
+    /// ready.
+    nonpipe: Vec<(u64, u32)>,
     /// Reusable wakeup drain buffer (no per-writeback allocation).
-    scratch_woken: Vec<u64>,
+    scratch_woken: Vec<(u64, u32)>,
     /// Reusable issue visit list (no per-cycle allocation).
-    scratch_visit: Vec<u64>,
-    /// Reusable list of seqs issued this cycle (no per-cycle allocation).
-    scratch_issued: Vec<u64>,
-    /// Loads currently in [`LoadState::Ready`] — the LSQ send stage and
-    /// `next_wake` scan the LQ only when this is non-zero, so a queue
-    /// full of in-flight loads costs nothing per cycle. Maintained at
-    /// every `Ready` transition (AGU, send, forward, cancel-replay) and
-    /// recounted after a squash.
-    lq_ready: usize,
+    scratch_visit: Vec<(u64, u32)>,
+    /// The send list: `(seq, retry_at)` of every load the LSQ send stage
+    /// may try ([`LoadEntry::sendable`]), sorted by seq, each with its
+    /// MSHR-retry backoff cached. Loads join at AGU, unpark, store
+    /// unblock and leapfrog cancel-replay, and leave at send, forward,
+    /// block, park and squash, so the stage walks its candidates, not the
+    /// queue.
+    ///
+    /// [`LoadEntry::sendable`]: crate::lsq::LoadEntry::sendable
+    send: Vec<(u64, u64)>,
     /// Whether the current tick changed state (see [`Core::tick`]).
     tick_progress: bool,
     /// Strictness-blocked non-pipelined ops counted this tick.
@@ -190,15 +226,6 @@ pub struct Core {
     /// parked loads are always a prefix, so the unpark check is O(1) per
     /// stage run until something actually unparks.
     parked_seqs: Vec<u64>,
-    /// Earliest future `retry_at` among [`LoadState::Ready`] loads —
-    /// `u64::MAX` when none is backing off. Never later than the true
-    /// minimum (a too-early wake only re-runs a quiescent tick; a
-    /// too-late one would miss the retry): a scheduled retry lowers it
-    /// immediately, and it is recomputed exactly whenever the LSQ send
-    /// pass scans the whole queue — which every quiescent tick with
-    /// `lq_ready > 0` does, so `next_wake` always reads an exact value
-    /// without the O(lq) rescan it used to perform.
-    lq_retry_min: u64,
     /// Observer of per-instruction lifecycle edges (see
     /// [`TraceSink`]). `None` in production: every hook is then a
     /// single branch and no event is ever constructed. Hooks only
@@ -231,7 +258,15 @@ impl Core {
             bpred: TournamentPredictor::new(cfg.bpred),
             regs,
             rob: Rob::new(cfg.rob_entries),
-            iq: Vec::with_capacity(cfg.iq_entries),
+            iq: vec![
+                IqEntry {
+                    seq: IQ_FREE,
+                    srcs: [None; 2],
+                    class: FuClass::IntAlu,
+                };
+                cfg.iq_entries
+            ],
+            iq_free: (0..cfg.iq_entries as u32).rev().collect(),
             lq: LoadQueue::new(cfg.lq_entries),
             sq: StoreQueue::new(cfg.sq_entries),
             fu: FuPool::new(cfg.int_alu, cfg.fp_alu, cfg.muldiv),
@@ -251,16 +286,14 @@ impl Core {
             stage_runs: [0; 6],
             reference: false,
             wakeup: WakeupTable::new(cfg.int_regs + cfg.fp_regs),
-            ready_seqs: Vec::with_capacity(cfg.iq_entries),
-            nonpipe_seqs: Vec::with_capacity(cfg.iq_entries),
+            ready: Vec::with_capacity(cfg.iq_entries),
+            nonpipe: Vec::with_capacity(cfg.iq_entries),
             scratch_woken: Vec::new(),
             scratch_visit: Vec::with_capacity(cfg.iq_entries),
-            scratch_issued: Vec::with_capacity(cfg.issue_width),
-            lq_ready: 0,
+            send: Vec::with_capacity(cfg.lq_entries),
             tick_progress: false,
             idle_strict_fu_delays: 0,
             parked_seqs: Vec::new(),
-            lq_retry_min: u64::MAX,
             trace: None,
             cfg,
             id,
@@ -300,8 +333,9 @@ impl Core {
     }
 
     /// Turns this core into the reference oracle: every tick runs every
-    /// stage body (no stage gating) and issue re-scans the whole IQ
-    /// instead of selecting from the wakeup-driven ready set. Ticked
+    /// stage body (no stage gating), issue re-scans the whole IQ in seq
+    /// order instead of selecting from the wakeup-driven ready set, and
+    /// the LSQ re-scans the whole LQ instead of walking the send list. Ticked
     /// every cycle by `Machine::run_reference`, it has no shortcut at
     /// all, so the production path is checked against it for
     /// bit-identity. Call before the first tick.
@@ -339,26 +373,22 @@ impl Core {
     }
 
     /// Drains `p`'s wakeup list: every waiter whose sources are now all
-    /// ready moves into the sorted ready set. Waiters that no longer
-    /// resolve in the IQ were squashed after registering — their records
-    /// are dropped here (seqs are never reused, so a stale seq cannot
-    /// alias a live entry).
+    /// ready moves into the sorted ready set. A record whose slot no
+    /// longer holds its seq is stale — the waiter was squashed after
+    /// registering — and is dropped here.
     fn wake_waiters(&mut self, p: PhysReg, now: u64) {
         let mut woken = std::mem::take(&mut self.scratch_woken);
         woken.clear();
         self.wakeup.drain_into(p, &mut woken);
-        for &seq in &woken {
-            let Ok(qi) = self.iq.binary_search_by_key(&seq, |q| q.seq) else {
-                continue; // squashed while waiting
-            };
-            let q = &self.iq[qi];
-            if q.srcs.iter().flatten().all(|&s| self.regs.is_ready(s)) {
-                // An entry waiting on the same register through both
-                // source slots is drained twice; insert it once.
-                if let Err(pos) = self.ready_seqs.binary_search(&seq) {
-                    self.ready_seqs.insert(pos, seq);
-                    self.emit(now, || TraceEvent::Ready { seq });
-                }
+        for &(seq, slot) in &woken {
+            let q = &self.iq[slot as usize];
+            // An entry waiting on the same register through both source
+            // slots is drained twice; it is inserted once.
+            if q.seq == seq
+                && q.srcs.iter().flatten().all(|&s| self.regs.is_ready(s))
+                && insert_by_seq(&mut self.ready, seq, slot)
+            {
+                self.emit(now, || TraceEvent::Ready { seq });
             }
         }
         self.scratch_woken = woken;
@@ -390,21 +420,19 @@ impl Core {
     /// Whether the issue stage can have any observable effect this
     /// cycle: the maintained ready set is non-empty, or (under §4.9
     /// strict ordering) non-pipelined entries are waiting, whose mere
-    /// presence counts delay statistics — the same condition
-    /// [`Core::issue_event`] early-returns on.
+    /// presence counts delay statistics — exactly when the fast path of
+    /// [`Core::issue`] has an entry to visit.
     #[inline]
     fn issue_pending(&self) -> bool {
-        !self.ready_seqs.is_empty() || (self.cfg.strict_fu_order && !self.nonpipe_seqs.is_empty())
+        !self.ready.is_empty() || (self.cfg.strict_fu_order && !self.nonpipe.is_empty())
     }
 
-    /// Whether the LSQ stage has candidates: a `Ready` unparked load
-    /// (sendable, retrying, or waiting on a store — `lq_ready` counts
-    /// all three; a forward-blocked load released by a store drain this
-    /// cycle is still counted) or a parked STT load whose visibility
-    /// must be re-checked.
+    /// Whether the LSQ stage has candidates: a load on the send list
+    /// (sendable or backing off from a retry) or a parked STT load whose
+    /// visibility must be re-checked.
     #[inline]
     fn lsq_pending(&self) -> bool {
-        self.lq_ready > 0 || !self.parked_seqs.is_empty()
+        !self.send.is_empty() || !self.parked_seqs.is_empty()
     }
 
     /// Whether rename can dispatch at least one instruction: an
@@ -415,7 +443,7 @@ impl Core {
     fn rename_pending(&self, now: u64) -> bool {
         self.fetch_queue.front().is_some_and(|f| f.avail_at <= now)
             && self.rob.free() > 0
-            && self.iq.len() < self.cfg.iq_entries
+            && !self.iq_free.is_empty()
     }
 
     /// Whether fetch may run: no fetch stall in force and buffer space
@@ -503,8 +531,8 @@ impl Core {
     /// stage gates in [`Core::tick`] test: the writeback event heap,
     /// fetch/commit stalls, a done-but-future ROB head (the same cached
     /// timestamp [`Core::commit_pending`] reads), the frontend delay of
-    /// the next rename candidate, and the maintained minimum load-retry
-    /// backoff (O(1), no queue scan). The deadlock deadline bounds the
+    /// the next rename candidate, and the earliest load-retry backoff
+    /// cached on the send list. The deadlock deadline bounds the
     /// result so a wedged core still panics exactly where the per-cycle
     /// engine does.
     fn next_wake(&self, now: u64) -> u64 {
@@ -531,13 +559,13 @@ impl Core {
                 wake = wake.min(f.avail_at);
             }
         }
-        // A quiescent tick with lq_ready > 0 always completed a full LSQ
-        // scan (no send means no port cutoff), which recomputed
-        // lq_retry_min exactly; parked loads never carry future retries
-        // (the retry check precedes the park gate), so nothing is lost
-        // against the old whole-queue scan.
-        if self.lq_ready > 0 && self.lq_retry_min > now {
-            wake = wake.min(self.lq_retry_min);
+        // Parked and store-blocked loads never carry future retries (the
+        // retry check precedes the park gate and the forward check), so
+        // the send list holds every pending backoff.
+        for &(_, retry_at) in &self.send {
+            if retry_at > now {
+                wake = wake.min(retry_at);
+            }
         }
         wake.max(now + 1)
     }
@@ -584,9 +612,10 @@ impl Core {
         }
         self.tick_progress = true;
         for ticket in cancelled {
-            if self.lq.cancel_ticket(ticket).is_some() {
+            if let Some(seq) = self.lq.cancel_ticket(ticket) {
                 self.stats.load_replays += 1;
-                self.lq_ready += 1;
+                let retry_at = self.lq.get(seq).expect("just cancelled").retry_at;
+                insert_by_seq(&mut self.send, seq, retry_at);
             }
         }
     }
@@ -725,11 +754,16 @@ impl Core {
             }
         });
         self.stats.squashed += n as u64;
-        self.iq.retain(|q| q.seq <= seq);
-        self.ready_seqs
-            .truncate(self.ready_seqs.partition_point(|&s| s <= seq));
-        self.nonpipe_seqs
-            .truncate(self.nonpipe_seqs.partition_point(|&s| s <= seq));
+        for (slot, q) in self.iq.iter_mut().enumerate() {
+            if q.seq > seq {
+                q.seq = IQ_FREE;
+                self.iq_free.push(slot as u32);
+            }
+        }
+        self.ready
+            .truncate(self.ready.partition_point(|&(s, _)| s <= seq));
+        self.nonpipe
+            .truncate(self.nonpipe.partition_point(|&(s, _)| s <= seq));
         // Squashed parked loads settle their STT delay now: the per-cycle
         // gate would have counted them every cycle up to (but excluding)
         // this one — the squash removes them before this cycle's LSQ scan.
@@ -742,11 +776,8 @@ impl Core {
             self.stats.stt_delays += (now - le.parked_since) - le.park_deficit;
         }
         self.lq.squash_above(seq);
-        // Membership changed: rebuild both the ready census and the
-        // retry horizon from the surviving loads in one pass.
-        let (lq_ready, lq_retry_min) = self.lq.ready_stats(now);
-        self.lq_ready = lq_ready;
-        self.lq_retry_min = lq_retry_min;
+        self.send
+            .truncate(self.send.partition_point(|&(s, _)| s <= seq));
         self.sq.squash_above(seq);
         self.fetch_queue.clear();
         self.cur_fetch_line = None;
@@ -812,9 +843,6 @@ impl Core {
                 Op::St(_) | Op::Sc => {
                     let addr = mem_addr.expect("committing store has an address");
                     let entry = self.sq.pop_head(seq);
-                    // The drained store no longer shadows older stores
-                    // (or memory) from the loads it partially overlapped.
-                    self.lq.unblock_store(seq);
                     let data = entry.data.expect("resolved store");
                     let req = MemReq {
                         core: self.id,
@@ -842,6 +870,9 @@ impl Core {
                         mem.store_commit(&req, data);
                     }
                     self.stats.stores_committed += 1;
+                    // The drained store no longer shadows older stores
+                    // (or memory) from the loads it partially overlapped.
+                    self.unblock_loads(seq);
                 }
                 Op::Halt => {
                     // Drain the wrong-path tail fetched past the halt so
@@ -903,30 +934,22 @@ impl Core {
         self.rob.older_fence(seq)
     }
 
-    fn issue(&mut self, now: u64) {
-        if self.reference {
-            self.issue_scan(now);
-        } else {
-            self.issue_event(now);
-        }
-    }
-
-    /// One visited IQ slot's trip through the issue checks. Shared by
-    /// both issue implementations so the per-entry semantics — strict-FU
-    /// gating, FU availability, fence serialisation, AGU vs ALU issue —
-    /// cannot drift between them. Returns `true` when the entry issued
-    /// (the caller tombstones the slot).
+    /// One visited IQ slot's trip through the issue checks. Both visit
+    /// orders of [`Core::issue`] share it, so the per-entry semantics —
+    /// strict-FU gating, FU availability, fence serialisation, AGU vs ALU
+    /// issue — cannot drift between them. Returns `true` when the entry
+    /// issued (the caller frees the slot).
     ///
-    /// `qi` indexes `self.iq`; `issued`/`blocked_nonpipelined` carry the
-    /// per-cycle scan state across visited entries.
+    /// `issued`/`blocked_nonpipelined` carry the per-cycle scan state
+    /// across visited entries.
     fn try_issue_entry(
         &mut self,
-        qi: usize,
+        slot: usize,
         now: u64,
         issued: &mut usize,
         blocked_nonpipelined: &mut usize,
     ) -> bool {
-        let q = self.iq[qi];
+        let q = self.iq[slot];
         let ready = q.srcs.iter().flatten().all(|&p| self.regs.is_ready(p));
         let nonpipelined = matches!(q.class, FuClass::IntDiv | FuClass::FpDiv | FuClass::FpSqrt);
         // §4.9: strictness-ordered scheduling of non-pipelined units —
@@ -979,12 +1002,13 @@ impl Core {
                 le.addr = Some(addr);
                 le.state = LoadState::Ready;
                 le.addr_tainted = taint;
-                self.lq_ready += 1;
+                let retry_at = le.retry_at;
+                insert_by_seq(&mut self.send, q.seq, retry_at);
             } else {
                 self.sq.resolve(q.seq, addr, v2);
                 // The store's address is now visible to the forward
                 // check: wake the loads it was blocking.
-                self.lq.unblock_store(q.seq);
+                self.unblock_loads(q.seq);
                 // Stores complete once resolved; data drains at commit.
                 self.events
                     .push(Reverse((now + latency, q.seq, EV_EXEC, 0)));
@@ -1017,94 +1041,59 @@ impl Core {
         true
     }
 
-    /// Event-driven issue: visits only the entries that can matter this
-    /// cycle — the maintained ready set, plus (under §4.9 strict FU
-    /// ordering) the waiting non-pipelined entries, whose presence gates
-    /// and counts younger non-pipelined ops exactly as the linear scan's
-    /// `blocked_nonpipelined` bookkeeping did. Both lists are sorted, so
-    /// the merged visit order is the scan's oldest-first order and the
-    /// selection is bit-identical.
-    fn issue_event(&mut self, now: u64) {
-        let strict = self.cfg.strict_fu_order;
-        if self.ready_seqs.is_empty() && (!strict || self.nonpipe_seqs.is_empty()) {
-            return;
-        }
+    /// Issues up to `issue_width` IQ entries, oldest first. The fast path
+    /// visits only the entries that can matter this cycle — the ready
+    /// set, plus (under §4.9 strict FU ordering) the waiting
+    /// non-pipelined entries, whose presence gates and counts younger
+    /// non-pipelined ops. Both lists are seq-sorted, so the merged visit
+    /// order is the whole-IQ scan's oldest-first order, which a
+    /// reference core walks instead, and the selection is bit-identical.
+    /// Issued slots go back to the free list; no entry moves.
+    fn issue(&mut self, now: u64) {
         let mut visit = std::mem::take(&mut self.scratch_visit);
         visit.clear();
-        if strict {
+        if self.reference {
+            let live = self.iq.iter().enumerate().filter(|(_, q)| q.seq != IQ_FREE);
+            visit.extend(live.map(|(slot, q)| (q.seq, slot as u32)));
+            visit.sort_unstable();
+        } else if self.cfg.strict_fu_order {
             // Merge the two sorted lists, deduplicating ready
             // non-pipelined entries (they appear in both).
             let (mut i, mut j) = (0, 0);
-            while i < self.ready_seqs.len() || j < self.nonpipe_seqs.len() {
-                let a = self.ready_seqs.get(i).copied().unwrap_or(u64::MAX);
-                let b = self.nonpipe_seqs.get(j).copied().unwrap_or(u64::MAX);
+            while i < self.ready.len() || j < self.nonpipe.len() {
+                let a = self.ready.get(i).copied().unwrap_or((u64::MAX, 0));
+                let b = self.nonpipe.get(j).copied().unwrap_or((u64::MAX, 0));
                 visit.push(a.min(b));
-                i += usize::from(a <= b);
-                j += usize::from(b <= a);
+                i += usize::from(a.0 <= b.0);
+                j += usize::from(b.0 <= a.0);
             }
         } else {
             // Waiting non-pipelined entries have no observable effect
             // without strict ordering; only ready entries are visited.
-            visit.extend_from_slice(&self.ready_seqs);
+            visit.extend_from_slice(&self.ready);
         }
 
         let mut issued = 0;
         let mut blocked_nonpipelined = 0usize;
-        let mut issued_seqs = std::mem::take(&mut self.scratch_issued);
-        issued_seqs.clear();
-        // Resolve each visited seq with a forward cursor: both `visit`
-        // and `self.iq` are seq-sorted, and tombstoning is deferred to
-        // the sweep below, so the walk never revisits a slot.
-        let mut qi = 0usize;
-        for &seq in &visit {
+        for &(seq, slot) in &visit {
             if issued >= self.cfg.issue_width {
                 break;
             }
-            while self.iq[qi].seq < seq {
-                qi += 1;
-            }
-            debug_assert_eq!(self.iq[qi].seq, seq, "visit lists track live IQ entries");
-            let cur = qi;
-            qi += 1;
-            if self.try_issue_entry(cur, now, &mut issued, &mut blocked_nonpipelined) {
-                self.iq[cur].seq = u64::MAX;
-                issued_seqs.push(seq);
+            debug_assert_eq!(
+                self.iq[slot as usize].seq, seq,
+                "visit lists track live IQ slots"
+            );
+            if self.try_issue_entry(slot as usize, now, &mut issued, &mut blocked_nonpipelined) {
+                self.iq[slot as usize].seq = IQ_FREE;
+                self.iq_free.push(slot);
             }
         }
         if issued > 0 {
-            self.iq.retain(|q| q.seq != u64::MAX);
-            self.ready_seqs.retain(|s| !issued_seqs.contains(s));
-            self.nonpipe_seqs.retain(|s| !issued_seqs.contains(s));
-        }
-        self.scratch_issued = issued_seqs;
-        self.scratch_visit = visit;
-    }
-
-    /// Reference issue: the pre-wakeup linear scan over the whole IQ,
-    /// run by [`Core::set_reference`] cores.
-    fn issue_scan(&mut self, now: u64) {
-        let mut issued = 0;
-        let mut blocked_nonpipelined = 0usize;
-        for qi in 0..self.iq.len() {
-            if issued >= self.cfg.issue_width {
-                break;
-            }
-            if self.try_issue_entry(qi, now, &mut issued, &mut blocked_nonpipelined) {
-                // Tombstone the slot; one linear sweep below removes all
-                // of them (a per-issue `remove` would be O(n²) a cycle).
-                self.iq[qi].seq = u64::MAX;
-            }
-        }
-        if issued > 0 {
-            self.iq.retain(|q| q.seq != u64::MAX);
-            // The wakeup lists are maintained regardless; drop
-            // the issued entries so they stay coherent with the IQ.
             let iq = &self.iq;
-            self.ready_seqs
-                .retain(|&s| iq.binary_search_by_key(&s, |q| q.seq).is_ok());
-            self.nonpipe_seqs
-                .retain(|&s| iq.binary_search_by_key(&s, |q| q.seq).is_ok());
+            self.ready.retain(|&(s, slot)| iq[slot as usize].seq == s);
+            self.nonpipe.retain(|&(s, slot)| iq[slot as usize].seq == s);
         }
+        self.scratch_visit = visit;
     }
 
     // ---- LSQ: send ready loads to memory ----
@@ -1114,171 +1103,15 @@ impl Core {
         // makes a parked load visible (an older branch or memory access
         // resolving) is always processed by this core's own writeback or
         // commit stage earlier in this very tick, so checking here — after
-        // those stages, before the send scan — re-admits the load on
+        // those stages, before the send pass — re-admits the load on
         // exactly the cycle the per-cycle gate would have passed it.
         if !self.parked_seqs.is_empty() {
             self.unpark_visible(now);
         }
-        debug_assert_eq!(
-            self.lq_ready,
-            self.lq
-                .iter()
-                .filter(|le| le.state == LoadState::Ready && !le.parked)
-                .count(),
-            "lq_ready drifted from the queue"
-        );
-        if self.lq_ready == 0 {
-            return; // nothing to send; don't scan the queue
-        }
-        let mut sent = 0;
-        let mut last_send_seq = 0;
-        let taint_mode = self.cfg.taint_mode;
-        // Future retry backoffs seen (or scheduled) this pass. A pass
-        // that covers the whole queue recomputes `lq_retry_min` exactly;
-        // a pass cut short by the port limit only lowers it (raising it
-        // on partial information could make `next_wake` miss a retry —
-        // but a cutoff implies a send, i.e. progress, so `next_wake` is
-        // not consulted this tick anyway).
-        let mut retry_min = u64::MAX;
-        let mut scanned_all = true;
-
-        // One fused pass over the queue, oldest-first, stopping as soon
-        // as both memory ports are claimed. Processing a position only
-        // ever mutates *that* entry (a leapfrog cancellation triggered
-        // by `mem.load` is queued in the backend and drained next tick),
-        // so each entry's eligibility when visited is exactly what a
-        // collect-then-process pass would have seen — same visitation
-        // order, same port cutoff, bit-identical — without filling a
-        // candidate list the port limit would discard.
-        for li in 0..self.lq.len() {
-            if sent >= MEM_PORTS {
-                scanned_all = false;
-                break;
-            }
-            let le = *self.lq.at(li);
-            if le.state != LoadState::Ready
-                || le.parked
-                || le.retry_at > now
-                || le.blocked_on.is_some()
-            {
-                if le.state == LoadState::Ready && !le.parked && le.retry_at > now {
-                    retry_min = retry_min.min(le.retry_at);
-                }
-                continue;
-            }
-            let seq = le.seq;
-            let addr = le.addr.expect("Ready implies resolved address");
-
-            // STT gate: tainted-address loads wait for their visibility
-            // point. An invisible load parks — it leaves the candidate set
-            // until `unpark_visible` re-admits it, and its delay counter
-            // is settled in one addition then. (Visibility is monotone:
-            // blockers of this load only ever resolve or squash — younger
-            // instructions can't be its blockers — so a load that passes
-            // the gate once passes it forever and parks at most once.)
-            if let Some(mode) = taint_mode {
-                if le.addr_tainted {
-                    let visible = match mode {
-                        TaintMode::Spectre => !self.older_unresolved_branch(seq),
-                        TaintMode::Future => {
-                            !self.older_unresolved_branch(seq) && !self.older_pending_mem(seq)
-                        }
-                    };
-                    if !visible {
-                        let e = self.lq.at_mut(li);
-                        e.parked = true;
-                        e.parked_since = now;
-                        e.park_deficit = 0;
-                        self.lq_ready -= 1;
-                        let pos = self.parked_seqs.partition_point(|&s| s < seq);
-                        self.parked_seqs.insert(pos, seq);
-                        self.emit(now, || TraceEvent::MemPark { seq });
-                        continue;
-                    }
-                }
-            }
-
-            match self.sq.forward(seq, addr, le.size) {
-                ForwardResult::UnknownAddr(s) | ForwardResult::Partial(s) => {
-                    // Re-check only when that store resolves or drains;
-                    // until then the scan result cannot change.
-                    self.lq.at_mut(li).blocked_on = Some(s);
-                    self.emit(now, || TraceEvent::MemBlock { seq, store_seq: s });
-                    continue;
-                }
-                ForwardResult::Forward(v) => {
-                    if self.rob.get(seq).is_some_and(|e| e.inst.op == Op::Ll) {
-                        // Reservation is placed when the value is read, so
-                        // any later remote store makes the SC fail.
-                        mem.ll_reserve(self.id, addr, seq);
-                    }
-                    let le = self.lq.at_mut(li);
-                    le.value = v;
-                    le.state = LoadState::Done;
-                    le.done_at = now + 1;
-                    le.forwarded = true;
-                    le.filled_locally = true;
-                    self.lq_ready -= 1;
-                    self.stats.load_forwards += 1;
-                    self.tick_progress = true;
-                    self.events.push(Reverse((now + 1, seq, EV_LOAD, u64::MAX)));
-                    self.emit(now, || TraceEvent::MemForward { seq });
-                }
-                ForwardResult::NoMatch => {
-                    self.tick_progress = true;
-                    let speculative = self.older_unresolved_branch(seq);
-                    let ri = self.rob.find(seq).expect("live load");
-                    let e = self.rob.at(ri);
-                    if e.inst.op == Op::Ll {
-                        mem.ll_reserve(self.id, addr, seq);
-                    }
-                    let req = MemReq {
-                        core: self.id,
-                        addr,
-                        size: le.size,
-                        ts: seq,
-                        pc: e.pc,
-                        now,
-                        speculative: true,
-                        kind: AccessKind::Load,
-                    };
-                    match mem.load(&req) {
-                        LoadResp::Done {
-                            at,
-                            ticket,
-                            filled_locally,
-                        } => {
-                            let value = mem.read_value(addr, le.size);
-                            let le = self.lq.at_mut(li);
-                            le.state = LoadState::InFlight { ticket };
-                            le.value = value;
-                            le.filled_locally = filled_locally;
-                            self.lq_ready -= 1;
-                            self.rob.at_mut(ri).issued_speculatively = speculative;
-                            self.events
-                                .push(Reverse((at.max(now + 1), seq, EV_LOAD, ticket)));
-                            sent += 1;
-                            last_send_seq = seq;
-                            self.emit(now, || TraceEvent::MemSend { seq, addr });
-                        }
-                        LoadResp::Retry { at } => {
-                            let le = self.lq.at_mut(li);
-                            le.retry_at = at.max(now + 1);
-                            let retry_at = le.retry_at;
-                            retry_min = retry_min.min(retry_at);
-                            self.stats.load_retries += 1;
-                            sent += 1;
-                            last_send_seq = seq;
-                            self.emit(now, || TraceEvent::MemRetry { seq, retry_at });
-                        }
-                    }
-                }
-            }
-        }
-        self.lq_retry_min = if scanned_all {
-            retry_min
+        let (sent, last_send_seq) = if self.reference {
+            self.send_scan(mem, now)
         } else {
-            self.lq_retry_min.min(retry_min)
+            self.send_listed(mem, now)
         };
         // Port-pressure correction for the lazy STT accounting: when both
         // memory ports were claimed, the per-cycle gate never reached any
@@ -1297,6 +1130,188 @@ impl Core {
                     .park_deficit += 1;
             }
         }
+    }
+
+    /// The send pass: walks the send list oldest-first, stopping as soon
+    /// as both memory ports are claimed, and returns the ports claimed
+    /// and the seq of the last load that claimed one. Each attempt only
+    /// ever changes its own load and list position (a leapfrog
+    /// cancellation triggered by `mem.load` is queued in the backend and
+    /// drained next tick), so the walk sees exactly what the whole-queue
+    /// scan of [`Core::send_scan`] sees.
+    fn send_listed(&mut self, mem: &mut dyn MemoryBackend, now: u64) -> (usize, u64) {
+        debug_assert!(
+            self.send.iter().copied().eq(self
+                .lq
+                .iter()
+                .filter(|le| le.sendable())
+                .map(|le| (le.seq, le.retry_at))),
+            "send list drifted from the queue"
+        );
+        let (mut sent, mut last_send_seq) = (0, 0);
+        let mut k = 0;
+        while k < self.send.len() && sent < MEM_PORTS {
+            let (seq, retry_at) = self.send[k];
+            if retry_at > now {
+                k += 1;
+                continue;
+            }
+            match self.send_load(mem, seq, now) {
+                SendOutcome::Left => {
+                    self.send.remove(k);
+                }
+                SendOutcome::Sent => {
+                    self.send.remove(k);
+                    (sent, last_send_seq) = (sent + 1, seq);
+                }
+                SendOutcome::Retry(at) => {
+                    self.send[k].1 = at;
+                    k += 1;
+                    (sent, last_send_seq) = (sent + 1, seq);
+                }
+            }
+        }
+        (sent, last_send_seq)
+    }
+
+    /// Reference send pass: scans the whole LQ oldest-first for sendable
+    /// loads, then rebuilds the send list from the queue.
+    fn send_scan(&mut self, mem: &mut dyn MemoryBackend, now: u64) -> (usize, u64) {
+        let (mut sent, mut last_send_seq) = (0, 0);
+        for li in 0..self.lq.len() {
+            if sent >= MEM_PORTS {
+                break;
+            }
+            let le = self.lq.at(li);
+            if !le.sendable() || le.retry_at > now {
+                continue;
+            }
+            let seq = le.seq;
+            if !matches!(self.send_load(mem, seq, now), SendOutcome::Left) {
+                (sent, last_send_seq) = (sent + 1, seq);
+            }
+        }
+        self.send.clear();
+        let sendable = self.lq.iter().filter(|le| le.sendable());
+        self.send.extend(sendable.map(|le| (le.seq, le.retry_at)));
+        (sent, last_send_seq)
+    }
+
+    /// One sendable load's trip through the STT gate, the store-forward
+    /// check and a memory port.
+    fn send_load(&mut self, mem: &mut dyn MemoryBackend, seq: u64, now: u64) -> SendOutcome {
+        let li = self.lq.find(seq).expect("send candidate is queued");
+        let le = *self.lq.at(li);
+        let addr = le.addr.expect("Ready implies resolved address");
+
+        // STT gate: tainted-address loads wait for their visibility
+        // point. An invisible load parks — it leaves the send list until
+        // `unpark_visible` re-admits it, and its delay counter is settled
+        // in one addition then. (Visibility is monotone: blockers of this
+        // load only ever resolve or squash — younger instructions can't
+        // be its blockers — so a load that passes the gate once passes it
+        // forever and parks at most once.)
+        if let Some(mode) = self.cfg.taint_mode {
+            if le.addr_tainted {
+                let visible = match mode {
+                    TaintMode::Spectre => !self.older_unresolved_branch(seq),
+                    TaintMode::Future => {
+                        !self.older_unresolved_branch(seq) && !self.older_pending_mem(seq)
+                    }
+                };
+                if !visible {
+                    let e = self.lq.at_mut(li);
+                    e.parked = true;
+                    e.parked_since = now;
+                    e.park_deficit = 0;
+                    let pos = self.parked_seqs.partition_point(|&s| s < seq);
+                    self.parked_seqs.insert(pos, seq);
+                    self.emit(now, || TraceEvent::MemPark { seq });
+                    return SendOutcome::Left;
+                }
+            }
+        }
+
+        match self.sq.forward(seq, addr, le.size) {
+            ForwardResult::UnknownAddr(s) | ForwardResult::Partial(s) => {
+                // Re-check only when that store resolves or drains;
+                // until then the check's result cannot change.
+                self.lq.at_mut(li).blocked_on = Some(s);
+                self.emit(now, || TraceEvent::MemBlock { seq, store_seq: s });
+                SendOutcome::Left
+            }
+            ForwardResult::Forward(v) => {
+                if self.rob.get(seq).is_some_and(|e| e.inst.op == Op::Ll) {
+                    // Reservation is placed when the value is read, so
+                    // any later remote store makes the SC fail.
+                    mem.ll_reserve(self.id, addr, seq);
+                }
+                let le = self.lq.at_mut(li);
+                le.value = v;
+                le.state = LoadState::Done;
+                le.done_at = now + 1;
+                le.forwarded = true;
+                le.filled_locally = true;
+                self.stats.load_forwards += 1;
+                self.tick_progress = true;
+                self.events.push(Reverse((now + 1, seq, EV_LOAD, u64::MAX)));
+                self.emit(now, || TraceEvent::MemForward { seq });
+                SendOutcome::Left
+            }
+            ForwardResult::NoMatch => {
+                self.tick_progress = true;
+                let speculative = self.older_unresolved_branch(seq);
+                let ri = self.rob.find(seq).expect("live load");
+                let e = self.rob.at(ri);
+                if e.inst.op == Op::Ll {
+                    mem.ll_reserve(self.id, addr, seq);
+                }
+                let req = MemReq {
+                    core: self.id,
+                    addr,
+                    size: le.size,
+                    ts: seq,
+                    pc: e.pc,
+                    now,
+                    speculative: true,
+                    kind: AccessKind::Load,
+                };
+                match mem.load(&req) {
+                    LoadResp::Done {
+                        at,
+                        ticket,
+                        filled_locally,
+                    } => {
+                        let value = mem.read_value(addr, le.size);
+                        let le = self.lq.at_mut(li);
+                        le.state = LoadState::InFlight { ticket };
+                        le.value = value;
+                        le.filled_locally = filled_locally;
+                        self.rob.at_mut(ri).issued_speculatively = speculative;
+                        self.events
+                            .push(Reverse((at.max(now + 1), seq, EV_LOAD, ticket)));
+                        self.emit(now, || TraceEvent::MemSend { seq, addr });
+                        SendOutcome::Sent
+                    }
+                    LoadResp::Retry { at } => {
+                        let retry_at = at.max(now + 1);
+                        self.lq.at_mut(li).retry_at = retry_at;
+                        self.stats.load_retries += 1;
+                        self.emit(now, || TraceEvent::MemRetry { seq, retry_at });
+                        SendOutcome::Retry(retry_at)
+                    }
+                }
+            }
+        }
+    }
+
+    /// Returns the loads blocked on store `store_seq` to the send list
+    /// (the store resolved its address or drained).
+    fn unblock_loads(&mut self, store_seq: u64) {
+        let send = &mut self.send;
+        self.lq.unblock_store(store_seq, |le| {
+            insert_by_seq(send, le.seq, le.retry_at);
+        });
     }
 
     /// Re-admits parked STT loads whose visibility point has arrived,
@@ -1326,7 +1341,8 @@ impl Core {
             le.parked = false;
             self.stats.stt_delays += (now - le.parked_since) - le.park_deficit;
             le.park_deficit = 0;
-            self.lq_ready += 1;
+            let retry_at = le.retry_at;
+            insert_by_seq(&mut self.send, seq, retry_at);
             self.emit(now, || TraceEvent::MemUnpark { seq });
             unparked += 1;
         }
@@ -1345,7 +1361,7 @@ impl Core {
             if front.avail_at > now {
                 break;
             }
-            if self.rob.free() == 0 || self.iq.len() >= self.cfg.iq_entries {
+            if self.rob.free() == 0 || self.iq_free.is_empty() {
                 break;
             }
             let inst = front.inst;
@@ -1394,7 +1410,8 @@ impl Core {
                     .push(seq, f.inst.op.mem_size().expect("store").bytes());
             }
             let class = f.inst.op.fu_class();
-            self.iq.push(IqEntry { seq, srcs, class });
+            let slot = self.iq_free.pop().expect("free slot checked above");
+            self.iq[slot as usize] = IqEntry { seq, srcs, class };
             self.emit(now, || TraceEvent::Rename {
                 seq,
                 pc: f.pc,
@@ -1408,16 +1425,16 @@ impl Core {
             let mut waiting = false;
             for &p in srcs.iter().flatten() {
                 if !self.regs.is_ready(p) {
-                    self.wakeup.watch(p, seq);
+                    self.wakeup.watch(p, seq, slot);
                     waiting = true;
                 }
             }
             if !waiting {
-                self.ready_seqs.push(seq);
+                self.ready.push((seq, slot));
                 self.emit(now, || TraceEvent::Ready { seq });
             }
             if matches!(class, FuClass::IntDiv | FuClass::FpDiv | FuClass::FpSqrt) {
-                self.nonpipe_seqs.push(seq);
+                self.nonpipe.push((seq, slot));
             }
         }
     }

@@ -208,11 +208,37 @@ pub struct LoadEntry {
     pub park_deficit: u64,
 }
 
+impl LoadEntry {
+    /// Whether the LSQ send stage may try this load: its address is
+    /// resolved and it is neither STT-parked nor waiting on a store.
+    pub fn sendable(&self) -> bool {
+        self.state == LoadState::Ready && !self.parked && self.blocked_on.is_none()
+    }
+}
+
+/// Marks a seq in [`LoadQueue`]'s lookup table that is not a live load.
+const NO_LOAD: u64 = u64::MAX;
+
 /// The load queue.
+///
+/// Every load gets an *allocation index*: the count of loads committed
+/// before it plus its position, so it is stable for the load's life
+/// (a squash rewinds the count with the tail, and the next load reuses
+/// the index). A dense table indexed by `seq - first_seq` holds each
+/// load's allocation index, so a seq lookup is two array reads and one
+/// seq comparison, not a search. Table slots of squashed loads or of
+/// non-load seqs fail that comparison.
 #[derive(Clone, Debug)]
 pub struct LoadQueue {
     entries: VecDeque<LoadEntry>,
     capacity: usize,
+    /// Loads committed so far: the allocation index of `entries[0]`.
+    popped: u64,
+    /// `by_seq[k]` is the allocation index of the load with seq
+    /// `first_seq + k` ([`NO_LOAD`] for seqs that are not loads). It
+    /// spans the seqs from the oldest load to the youngest.
+    by_seq: VecDeque<u64>,
+    first_seq: u64,
 }
 
 impl LoadQueue {
@@ -222,6 +248,9 @@ impl LoadQueue {
         Self {
             entries: VecDeque::new(),
             capacity,
+            popped: 0,
+            by_seq: VecDeque::new(),
+            first_seq: 0,
         }
     }
 
@@ -237,6 +266,16 @@ impl LoadQueue {
     /// Panics when full.
     pub fn push(&mut self, seq: u64, size: u64) {
         assert!(self.free() > 0, "load queue overflow");
+        if self.entries.is_empty() {
+            self.by_seq.clear();
+            self.first_seq = seq;
+        }
+        // Seqs only grow, so `seq` lands at or past the table's end.
+        let off = (seq - self.first_seq) as usize;
+        debug_assert!(off >= self.by_seq.len(), "load seqs must grow");
+        self.by_seq.resize(off, NO_LOAD);
+        self.by_seq
+            .push_back(self.popped + self.entries.len() as u64);
         self.entries.push_back(LoadEntry {
             seq,
             addr: None,
@@ -257,20 +296,25 @@ impl LoadQueue {
 
     /// Clears the store-blocked marker of every load waiting on store
     /// `seq` (called when that store resolves its address or drains at
-    /// commit); the loads become forward-check candidates again.
-    pub fn unblock_store(&mut self, seq: u64) {
+    /// commit) and hands each released load to `released`; the loads
+    /// become forward-check candidates again.
+    pub fn unblock_store(&mut self, seq: u64, mut released: impl FnMut(&LoadEntry)) {
         for e in self.entries.iter_mut() {
             if e.blocked_on == Some(seq) {
                 e.blocked_on = None;
+                released(e);
             }
         }
     }
 
-    /// Index of the entry with sequence `seq`. The queue is ordered by
-    /// seq (rename allocates monotonically, squash pops the back), so
-    /// lookups binary-search instead of scanning.
+    /// Position of the entry with sequence `seq`, in O(1) through the
+    /// allocation-index table.
     fn index_of(&self, seq: u64) -> Option<usize> {
-        self.entries.binary_search_by_key(&seq, |e| e.seq).ok()
+        let off = seq.checked_sub(self.first_seq)?;
+        let alloc = *self.by_seq.get(usize::try_from(off).ok()?)?;
+        // A stale or `NO_LOAD` index wraps past the queue's length.
+        let i = alloc.wrapping_sub(self.popped) as usize;
+        (self.entries.get(i)?.seq == seq).then_some(i)
     }
 
     /// Looks up a load by seq.
@@ -311,25 +355,6 @@ impl LoadQueue {
         self.entries.iter_mut()
     }
 
-    /// One-pass census of the sendable set: how many loads are
-    /// `LoadState::Ready` and unparked, and the earliest future
-    /// `retry_at` among them (`u64::MAX` when none is backing off past
-    /// `now`). Used to rebuild the engine's `lq_ready`/`lq_retry_min`
-    /// counters after a squash changes queue membership.
-    pub fn ready_stats(&self, now: u64) -> (usize, u64) {
-        let mut ready = 0;
-        let mut retry_min = u64::MAX;
-        for e in &self.entries {
-            if e.state == LoadState::Ready && !e.parked {
-                ready += 1;
-                if e.retry_at > now {
-                    retry_min = retry_min.min(e.retry_at);
-                }
-            }
-        }
-        (ready, retry_min)
-    }
-
     /// Removes the oldest load (commit).
     ///
     /// # Panics
@@ -338,6 +363,10 @@ impl LoadQueue {
     pub fn pop_head(&mut self, seq: u64) -> LoadEntry {
         let head = self.entries.pop_front().expect("load queue empty");
         assert_eq!(head.seq, seq, "loads must commit in order");
+        self.popped += 1;
+        let gone = (seq + 1 - self.first_seq) as usize;
+        self.by_seq.drain(..gone.min(self.by_seq.len()));
+        self.first_seq = seq + 1;
         head
     }
 
@@ -346,6 +375,8 @@ impl LoadQueue {
         while self.entries.back().is_some_and(|e| e.seq > above) {
             self.entries.pop_back();
         }
+        self.by_seq
+            .truncate((above + 1).saturating_sub(self.first_seq) as usize);
     }
 
     /// Finds the load owning a cancelled in-flight ticket and reverts it
@@ -479,6 +510,42 @@ mod tests {
         lq.squash_above(6);
         assert_eq!(lq.len(), 1);
         assert!(lq.get(5).is_some());
+    }
+
+    #[test]
+    fn seq_lookup_survives_gaps_commits_and_squashes() {
+        let mut lq = LoadQueue::new(4);
+        lq.push(3, 8);
+        lq.push(7, 8);
+        lq.push(8, 8);
+        assert_eq!(lq.find(7), Some(1));
+        assert!(lq.get(5).is_none(), "a seq between loads is not a load");
+        assert!(lq.get(2).is_none() && lq.get(9).is_none());
+        lq.pop_head(3);
+        assert_eq!(lq.find(8), Some(1), "positions shift at commit");
+        lq.squash_above(7);
+        assert!(lq.get(8).is_none(), "squashed");
+        // The next load reuses the squashed load's allocation index.
+        lq.push(12, 4);
+        assert!(lq.get(8).is_none(), "a reused index does not alias");
+        assert_eq!(lq.get(12).map(|e| e.size), Some(4));
+        lq.squash_above(0);
+        assert!(lq.is_empty() && lq.get(7).is_none());
+        lq.push(20, 8);
+        assert_eq!(lq.find(20), Some(0));
+    }
+
+    #[test]
+    fn unblock_store_releases_only_its_loads() {
+        let mut lq = LoadQueue::new(4);
+        for (seq, blocker) in [(5, Some(2)), (6, Some(4)), (7, Some(2))] {
+            lq.push(seq, 8);
+            lq.get_mut(seq).unwrap().blocked_on = blocker;
+        }
+        let mut released = Vec::new();
+        lq.unblock_store(2, |e| released.push(e.seq));
+        assert_eq!(released, vec![5, 7]);
+        assert_eq!(lq.get(6).unwrap().blocked_on, Some(4));
     }
 
     #[test]

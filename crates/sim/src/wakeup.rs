@@ -19,7 +19,13 @@
 //!   any waiter on it was younger than the squashed producer and is
 //!   gone from the IQ; waiters squashed while their *surviving*
 //!   producer is still in flight are dropped lazily when that producer
-//!   writes back (the drained seq no longer resolves in the IQ).
+//!   writes back.
+//!
+//! A record names its waiter by `(seq, slot)`: the IQ is a fixed slab,
+//! so the writeback reads the slot directly, and a record whose seq no
+//! longer matches the slot's occupant is stale (the waiter issued or
+//! was squashed, and the slot may since hold a younger entry — seqs are
+//! never reused, so a stale record cannot alias a live one).
 //!
 //! # Storage: one arena, not one `Vec` per register
 //!
@@ -41,14 +47,16 @@ use crate::regfile::PhysReg;
 const NIL: u32 = u32::MAX;
 
 /// One waiter record in the arena: the waiting IQ entry's sequence
-/// number and the next record on the same register's list.
+/// number and slab slot, and the next record on the same register's
+/// list.
 #[derive(Clone, Copy, Debug)]
 struct Node {
     seq: u64,
+    slot: u32,
     next: u32,
 }
 
-/// Per-physical-register lists of IQ entries (by sequence number)
+/// Per-physical-register lists of IQ entries (by `(seq, slot)`)
 /// waiting for that register's value, backed by one shared node arena.
 #[derive(Clone, Debug)]
 pub struct WakeupTable {
@@ -77,24 +85,27 @@ impl WakeupTable {
     }
 
     /// Takes a node off the free list, or grows the pool.
-    fn alloc(&mut self, seq: u64) -> u32 {
+    fn alloc(&mut self, seq: u64, slot: u32) -> u32 {
+        let node = Node {
+            seq,
+            slot,
+            next: NIL,
+        };
         if self.free != NIL {
             let idx = self.free;
-            let node = &mut self.nodes[idx as usize];
-            self.free = node.next;
-            node.seq = seq;
-            node.next = NIL;
+            self.free = self.nodes[idx as usize].next;
+            self.nodes[idx as usize] = node;
             idx
         } else {
             let idx = u32::try_from(self.nodes.len()).expect("wakeup arena index fits in u32");
-            self.nodes.push(Node { seq, next: NIL });
+            self.nodes.push(node);
             idx
         }
     }
 
-    /// Registers `seq` as waiting on `p`.
-    pub fn watch(&mut self, p: PhysReg, seq: u64) {
-        let idx = self.alloc(seq);
+    /// Registers the IQ entry `seq` in slab slot `slot` as waiting on `p`.
+    pub fn watch(&mut self, p: PhysReg, seq: u64, slot: u32) {
+        let idx = self.alloc(seq, slot);
         let r = p.0 as usize;
         if self.heads[r] == NIL {
             self.heads[r] = idx;
@@ -121,11 +132,11 @@ impl WakeupTable {
 
     /// Moves `p`'s waiters into `into` (appending, in watch order),
     /// leaving the list empty and recycling the nodes.
-    pub fn drain_into(&mut self, p: PhysReg, into: &mut Vec<u64>) {
+    pub fn drain_into(&mut self, p: PhysReg, into: &mut Vec<(u64, u32)>) {
         let mut cur = self.take(p);
         while cur != NIL {
             let node = self.nodes[cur as usize];
-            into.push(node.seq);
+            into.push((node.seq, node.slot));
             self.nodes[cur as usize].next = self.free;
             self.free = cur;
             cur = node.next;
@@ -154,23 +165,23 @@ mod tests {
         let mut w = WakeupTable::new(4);
         let p = PhysReg(2);
         assert!(w.is_empty(p));
-        w.watch(p, 10);
-        w.watch(p, 12);
+        w.watch(p, 10, 3);
+        w.watch(p, 12, 5);
         assert!(!w.is_empty(p));
         let mut out = Vec::new();
         w.drain_into(p, &mut out);
-        assert_eq!(out, vec![10, 12]);
+        assert_eq!(out, vec![(10, 3), (12, 5)], "records keep their slots");
         assert!(w.is_empty(p));
     }
 
     #[test]
     fn clear_drops_waiters() {
         let mut w = WakeupTable::new(4);
-        w.watch(PhysReg(1), 7);
+        w.watch(PhysReg(1), 7, 0);
         w.clear(PhysReg(1));
         assert!(w.is_empty(PhysReg(1)));
         // Other registers are untouched.
-        w.watch(PhysReg(3), 9);
+        w.watch(PhysReg(3), 9, 0);
         w.clear(PhysReg(1));
         assert!(!w.is_empty(PhysReg(3)));
     }
@@ -178,10 +189,10 @@ mod tests {
     #[test]
     fn drain_appends_to_existing_scratch() {
         let mut w = WakeupTable::new(2);
-        w.watch(PhysReg(0), 1);
-        let mut out = vec![99];
+        w.watch(PhysReg(0), 1, 0);
+        let mut out = vec![(99, 7)];
         w.drain_into(PhysReg(0), &mut out);
-        assert_eq!(out, vec![99, 1]);
+        assert_eq!(out, vec![(99, 7), (1, 0)]);
     }
 
     #[test]
@@ -190,12 +201,12 @@ mod tests {
         let mut out = Vec::new();
         for round in 0..100u64 {
             for r in 0..8u16 {
-                w.watch(PhysReg(r), round * 8 + u64::from(r));
+                w.watch(PhysReg(r), round * 8 + u64::from(r), 0);
             }
             for r in 0..8u16 {
                 out.clear();
                 w.drain_into(PhysReg(r), &mut out);
-                assert_eq!(out, vec![round * 8 + u64::from(r)]);
+                assert_eq!(out, vec![(round * 8 + u64::from(r), 0)]);
             }
         }
         // 100 rounds of 8 concurrent waiters never need more than 8 nodes.
@@ -208,12 +219,15 @@ mod tests {
         // Interleave watches across registers so the chains interleave in
         // the arena, then check each register drains exactly its own.
         for i in 0..12u64 {
-            w.watch(PhysReg((i % 4) as u16), i);
+            w.watch(PhysReg((i % 4) as u16), i, 0);
         }
         for r in 0..4u16 {
             let mut out = Vec::new();
             w.drain_into(PhysReg(r), &mut out);
-            let expect: Vec<u64> = (0..12).filter(|i| i % 4 == u64::from(r)).collect();
+            let expect: Vec<(u64, u32)> = (0..12)
+                .filter(|i| i % 4 == u64::from(r))
+                .map(|i| (i, 0))
+                .collect();
             assert_eq!(out, expect, "register {r} drains its own watch order");
         }
     }
@@ -222,16 +236,16 @@ mod tests {
     fn clear_then_watch_reuses_freed_chain() {
         let mut w = WakeupTable::new(2);
         for i in 0..5 {
-            w.watch(PhysReg(0), i);
+            w.watch(PhysReg(0), i, 0);
         }
         let grown = w.nodes.len();
         w.clear(PhysReg(0));
         for i in 10..15 {
-            w.watch(PhysReg(1), i);
+            w.watch(PhysReg(1), i, 0);
         }
         assert_eq!(w.nodes.len(), grown, "cleared nodes feed later watches");
         let mut out = Vec::new();
         w.drain_into(PhysReg(1), &mut out);
-        assert_eq!(out, vec![10, 11, 12, 13, 14]);
+        assert_eq!(out, vec![(10, 0), (11, 0), (12, 0), (13, 0), (14, 0)]);
     }
 }
