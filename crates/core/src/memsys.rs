@@ -1398,6 +1398,83 @@ mod tests {
     }
 
     #[test]
+    fn iminion_only_data_load_coalesces_onto_squashed_entry() {
+        // IMinion-only leaves the data side unprotected: squash still
+        // orphans its L1D MSHRs, but a data load coalesces onto the
+        // orphan like Unsafe instead of timeleaping.
+        let mut m = MemorySystem::new(Scheme::iminion_only(), HierarchyConfig::tiny(), 1);
+        let t1 = done_at(m.load(&req(0, 0x4000, 30, 0)));
+        m.squash(0, 10, 40, 1);
+        let (_, e) = m.cores[0].l1d_mshr.find(0x4000).expect("in flight");
+        assert_eq!(e.ts, SQUASHED_TS, "squash orphans the entry");
+        let t2 = done_at(m.load(&req(0, 0x4000, 8, 2)));
+        assert_eq!(t2, t1.max(2 + m.cfg.l1d.latency), "coalesce timing");
+        assert_eq!(m.stats().get("timeleaps"), 0);
+        assert!(m.take_cancellations(0).is_empty());
+    }
+
+    #[test]
+    fn muontrap_l1d_energy_only_on_l0_miss_and_serial_coalesce() {
+        let mut m = MemorySystem::new(Scheme::muontrap(), HierarchyConfig::tiny(), 1);
+        let t1 = done_at(m.load(&req(0, 0x1000, 5, 0)));
+        assert_eq!(m.stats().get("energy_l1d_reads"), 1, "L0 miss reads L1D");
+        // In-flight coalesce pays the serial L0 cycle and reads no L1D.
+        let now = t1 - 2;
+        let t2 = done_at(m.load(&req(0, 0x1000, 6, now)));
+        assert_eq!(t2, now + m.cfg.l1d.latency + 1);
+        assert_eq!(m.stats().get("energy_l1d_reads"), 1);
+        // L0 hit: no L1D read either.
+        done_at(m.load(&req(0, 0x1000, 7, t1 + 5)));
+        assert_eq!(m.stats().get("l0_hits"), 1);
+        assert_eq!(m.stats().get("energy_l1d_reads"), 1);
+        // A second L0 miss reads the L1D again.
+        done_at(m.load(&req(0, 0x9000, 8, t1 + 6)));
+        assert_eq!(m.stats().get("energy_l1d_reads"), 2);
+        let ids: Vec<_> = m.stats().iter().map(|(name, _)| name).collect();
+        assert!(!ids.contains(&"energy_minion_reads") && !ids.contains(&"l1d_hits"));
+    }
+
+    #[test]
+    fn muontrap_and_invisispec_restart_squashed_miss_without_l1_timeleap() {
+        for scheme in [
+            Scheme::muontrap_flush(),
+            Scheme::invisispec_spectre(),
+            Scheme::invisispec_future(),
+        ] {
+            let mut m = MemorySystem::new(scheme, HierarchyConfig::tiny(), 1);
+            let t1 = done_at(m.load(&req(0, 0x4000, 30, 0)));
+            m.squash(0, 10, 40, 1);
+            let t2 = done_at(m.load(&req(0, 0x4000, 8, 2)));
+            assert!(t2 >= t1, "{}: data no earlier than the fill", scheme.name());
+            let (_, e) = m.cores[0].l1d_mshr.find(0x4000).expect("in flight");
+            assert_eq!((e.ts, e.ready_at), (8, t2), "{}: retimed", scheme.name());
+            // Only the L2 step restarts its orphan (one timeleap, one
+            // cancellation of the squashed load's ticket); the L1 step
+            // adds neither.
+            assert_eq!(m.stats().get("timeleaps"), 1, "{}", scheme.name());
+            assert_eq!(m.take_cancellations(0).len(), 1, "{}", scheme.name());
+        }
+    }
+
+    #[test]
+    fn ifetch_retry_on_full_l1i_mshrs_counts_no_mshr_retry() {
+        for scheme in [Scheme::unsafe_baseline(), Scheme::ghost_minion()] {
+            let mut m = MemorySystem::new(scheme, HierarchyConfig::tiny(), 1);
+            for (i, ts) in [(0u64, 50u64), (1, 60)] {
+                let mut ireq = req(0, gm_isa::ITEXT_BASE + 0x1000 * (i + 1), ts, 0);
+                ireq.kind = AccessKind::Ifetch;
+                done_at(m.ifetch(&ireq));
+            }
+            let mut ireq = req(0, gm_isa::ITEXT_BASE + 0x8000, 10, 1);
+            ireq.kind = AccessKind::Ifetch;
+            assert!(matches!(m.ifetch(&ireq), LoadResp::Retry { .. }));
+            let ids: Vec<_> = m.stats().iter().map(|(name, _)| name).collect();
+            assert!(!ids.contains(&"mshr_retries"), "{}", scheme.name());
+            assert_eq!(m.stats().get("leapfrogs"), 0, "{}", scheme.name());
+        }
+    }
+
+    #[test]
     fn muontrap_flush_wipes_l0_but_base_does_not() {
         let mut base = MemorySystem::new(Scheme::muontrap(), HierarchyConfig::tiny(), 1);
         let mut flush = MemorySystem::new(Scheme::muontrap_flush(), HierarchyConfig::tiny(), 1);
