@@ -13,8 +13,11 @@
 //! that cycle, which is what makes occupancy contention — and therefore
 //! leapfrogging and timeleaping (§4.5) — observable.
 //!
-//! Scheme-specific behaviour, all in this file so the differences are
-//! reviewable side by side:
+//! Every data load takes one access path through the private level
+//! (in-flight MSHR step, probe, MSHR-full step, coherence, shared walk,
+//! fill), and instruction fetches reuse its steps. Where the schemes
+//! differ on that path, a `LoadPolicy` derived once from the [`Scheme`]
+//! decides; commit and squash handling stay per scheme. In short:
 //!
 //! * **Unsafe / STT** — speculative misses fill L1+L2 directly; the
 //!   prefetcher trains on speculative misses. (STT's protection is in the
@@ -36,7 +39,7 @@ use crate::order::{Flow, FlowKind, OrderAuditor};
 use crate::scheme::{GhostMinionConfig, Scheme, SchemeKind};
 use gm_mem::FxHashSet;
 use gm_mem::{
-    line_addr, Cache, CacheConfig, Dram, DramConfig, MesiState, MshrFile, SparseMem,
+    line_addr, Cache, CacheConfig, Dram, DramConfig, MesiState, MshrEntry, MshrFile, SparseMem,
     StridePrefetcher, StridePrefetcherConfig,
 };
 use gm_sim::{LoadResp, MemReq, MemoryBackend, Ticket};
@@ -198,9 +201,151 @@ mod id {
     }
 }
 
+/// Where a scheme's speculative data fills land; the same structure is
+/// probed before the L1D's tags answer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Spec {
+    /// Straight into the L1D and the L2 (Unsafe, STT, and the data side
+    /// of IMinion-only).
+    L1L2,
+    /// The data GhostMinion, probed in parallel with the L1D (§4.3).
+    Minion,
+    /// MuonTrap's L0 filter cache, probed serially before the L1D.
+    L0,
+    /// Nowhere: the data lives in the load's own buffer (InvisiSpec).
+    Nowhere,
+}
+
+/// What a request does with a live MSHR entry for its line.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Orphans {
+    /// Always coalesce, even onto an entry a squash orphaned.
+    Coalesce,
+    /// Restart a squash-orphaned entry with fresh-miss timing; nothing
+    /// is counted or cancelled at this level.
+    Restart,
+    /// Timeleap (§4.5): restart an orphaned entry, or (when leapfrogging)
+    /// one owned by a younger request, counting a timeleap and
+    /// cancelling the owner.
+    Timeleap,
+}
+
+/// A scheme's choices on the private-level access path, derived once
+/// from [`Scheme`] in [`MemorySystem::new`]. Not configuration: every
+/// field follows from the scheme.
+#[derive(Clone, Copy, Debug)]
+struct LoadPolicy {
+    /// Where speculative data fills go, and what is probed with the L1D.
+    spec: Spec,
+    /// Leapfrog (steal a younger request's MSHR) and timeleap (§4.5).
+    leapfrog: bool,
+    /// The L1D in-flight step.
+    orphans: Orphans,
+    /// A remotely owned line is forwarded non-coherently and replayed at
+    /// commit (§4.6) instead of downgrading the owner.
+    forward_remote: bool,
+    /// The prefetcher trains on the speculative miss stream.
+    train_speculative: bool,
+    /// L1D MSHR coalesces are reported to the auditor.
+    audit: bool,
+    /// The shared walk sees the request's own `speculative` flag rather
+    /// than `true`.
+    pass_req_speculative: bool,
+    /// Instruction fetches go through the IMinion (§4.8).
+    iminion: bool,
+    /// A fresh instruction miss may leapfrog at the L2.
+    ifetch_leapfrog: bool,
+}
+
+impl LoadPolicy {
+    fn of(scheme: Scheme) -> Self {
+        let gm = scheme.gm_config();
+        let direct = Self {
+            spec: Spec::L1L2,
+            leapfrog: false,
+            orphans: Orphans::Coalesce,
+            forward_remote: false,
+            train_speculative: true,
+            audit: true,
+            pass_req_speculative: true,
+            iminion: gm.is_some_and(|c| c.iminion),
+            ifetch_leapfrog: gm.is_some_and(|c| c.iminion && c.leapfrog),
+        };
+        let filtered = |spec| Self {
+            spec,
+            orphans: Orphans::Restart,
+            forward_remote: true,
+            train_speculative: false,
+            audit: false,
+            pass_req_speculative: false,
+            ..direct
+        };
+        match scheme.kind {
+            SchemeKind::GhostMinion(c) if c.dminion => Self {
+                spec: Spec::Minion,
+                leapfrog: c.leapfrog,
+                orphans: Orphans::Timeleap,
+                forward_remote: c.coherence,
+                train_speculative: !c.prefetch_gate,
+                pass_req_speculative: false,
+                ..direct
+            },
+            SchemeKind::Unsafe | SchemeKind::Stt { .. } | SchemeKind::GhostMinion(_) => direct,
+            SchemeKind::MuonTrap { .. } => filtered(Spec::L0),
+            SchemeKind::InvisiSpec { .. } => filtered(Spec::Nowhere),
+        }
+    }
+}
+
+/// Which MSHR file a step works on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Level {
+    L1d,
+    L1i,
+    L2,
+}
+
+/// One request's trip through the shared levels.
+#[derive(Clone, Copy, Debug)]
+struct Walk {
+    line: u64,
+    /// Cycle the request leaves the private level.
+    start: u64,
+    now: u64,
+    /// Passed to DRAM.
+    speculative: bool,
+    /// Whether a DRAM fill also installs the line in the L2.
+    fill_l2: bool,
+    ts: u64,
+    core: usize,
+    ticket: Ticket,
+    /// May leapfrog or timeleap at the L2.
+    leapfrog: bool,
+}
+
+impl Walk {
+    /// A non-speculative commit-time walk (store write-allocate,
+    /// InvisiSpec exposure): timestamp 0, no cancellable owner, never
+    /// leapfrogs.
+    fn committed(line: u64, start: u64, now: u64, ticket: Ticket) -> Self {
+        Self {
+            line,
+            start,
+            now,
+            speculative: false,
+            fill_l2: true,
+            ts: 0,
+            core: NO_OWNER,
+            ticket,
+            leapfrog: false,
+        }
+    }
+}
+
 /// The memory system: per-core private level + shared L2/DRAM.
 pub struct MemorySystem {
     scheme: Scheme,
+    policy: LoadPolicy,
     cfg: HierarchyConfig,
     cores: Vec<PerCore>,
     l2: Cache,
@@ -243,6 +388,7 @@ impl MemorySystem {
             .collect();
         Self {
             scheme,
+            policy: LoadPolicy::of(scheme),
             cores,
             l2: Cache::new(cfg.l2),
             l2_mshr: MshrFile::new(cfg.l2_mshrs),
@@ -291,10 +437,6 @@ impl MemorySystem {
         self.next_ticket
     }
 
-    fn gm(&self) -> Option<GhostMinionConfig> {
-        self.scheme.gm_config()
-    }
-
     fn audit(&mut self, core: usize, src_ts: u64, dst_ts: u64, kind: FlowKind) {
         if let Some(a) = self.auditor.as_mut() {
             a.record_flow(Flow {
@@ -306,75 +448,134 @@ impl MemorySystem {
         }
     }
 
-    /// Walks the shared levels (L2, then DRAM) for `line`, starting the
-    /// L2 access at `start`. Mutates L2 tags/MSHRs and DRAM state.
+    fn mshrs(&mut self, level: Level, core: usize) -> &mut MshrFile {
+        match level {
+            Level::L1d => &mut self.cores[core].l1d_mshr,
+            Level::L1i => &mut self.cores[core].l1i_mshr,
+            Level::L2 => &mut self.l2_mshr,
+        }
+    }
+
+    /// Queues a leapfrog/timeleap cancellation of `e`'s owning load.
+    fn cancel_owner(&mut self, e: &MshrEntry) {
+        if e.owner != NO_OWNER {
+            self.pending_cancels.push((e.owner, e.payload));
+        }
+    }
+
+    /// The in-flight step of a private level: the synchronous walk
+    /// installs tags at request time, so a pending MSHR entry — not a tag
+    /// probe — is the source of truth for data that has not yet arrived.
+    /// `None` when `w.line` has no entry. Otherwise the request either
+    /// coalesces (data at the fill, or at `w.start`) or, per `orphans`,
+    /// restarts the entry through the shared levels with genuine
+    /// fresh-miss timing: data cannot arrive before the physical fill
+    /// completes, and the entry takes the requester's timestamp.
+    fn in_flight(
+        &mut self,
+        level: Level,
+        w: &Walk,
+        orphans: Orphans,
+        audit: bool,
+    ) -> Option<Result<u64, u64>> {
+        let mshrs = self.mshrs(level, w.core);
+        mshrs.reclaim(w.now);
+        let (tok, e) = mshrs.find(w.line)?;
+        let restart = match orphans {
+            Orphans::Coalesce => false,
+            Orphans::Restart => e.ts == SQUASHED_TS,
+            Orphans::Timeleap => e.ts == SQUASHED_TS || (w.leapfrog && e.ts > w.ts),
+        };
+        if !restart {
+            if audit {
+                self.audit(w.core, e.ts, w.ts, FlowKind::MshrCoalesce);
+            }
+            return Some(Ok(e.ready_at.max(w.start)));
+        }
+        if orphans == Orphans::Timeleap {
+            // Timeleap (§4.5): the entry belongs to a younger (or
+            // squashed) instruction, which is cancelled and replays.
+            self.stats.bump(id::timeleaps());
+            self.cancel_owner(&e);
+        }
+        Some(self.shared_walk(w).map(|walk| {
+            let fresh = walk.max(e.ready_at);
+            self.mshrs(level, w.core)
+                .retime(tok, w.ts, w.core, w.ticket, fresh);
+            fresh
+        }))
+    }
+
+    /// The MSHR-full step of every level: with no free entry at `w.now`
+    /// an older request may leapfrog (§4.5) — steal the youngest entry if
+    /// it is younger, cancelling its owner. Returns the retry cycle when
+    /// the file stays full.
+    fn mshr_full(&mut self, level: Level, w: &Walk, leapfrog: bool) -> Option<u64> {
+        let mshrs = self.mshrs(level, w.core);
+        if mshrs.free_at(w.now) > 0 {
+            return None;
+        }
+        let victim = leapfrog.then(|| mshrs.youngest()).flatten();
+        let victim = victim.filter(|&(_, v)| v.ts > w.ts);
+        let Some((tok, victim)) = victim else {
+            return Some(mshrs.next_free_at().unwrap_or(w.now + 1).max(w.now + 1));
+        };
+        mshrs.steal(tok);
+        self.stats.bump(id::leapfrogs());
+        self.cancel_owner(&victim);
+        if level == Level::L2 {
+            self.audit(w.core, w.ts, victim.ts, FlowKind::ResourceContention);
+        }
+        None
+    }
+
+    /// The fresh-miss step of a private level: walk the shared levels,
+    /// then allocate the MSHR entry the in-flight step finds.
+    fn miss(&mut self, level: Level, w: &Walk) -> Result<u64, u64> {
+        let done = self.shared_walk(w)?;
+        self.mshrs(level, w.core)
+            .alloc(w.line, done, w.ts, w.core, w.ticket, w.now)
+            .expect("space checked");
+        Ok(done)
+    }
+
+    /// Walks the shared levels (L2, then DRAM) for `w.line`, starting the
+    /// L2 access at `w.start`. Mutates L2 tags/MSHRs and DRAM state.
     /// Returns the data-arrival cycle, or `Err(retry_at)` if the L2 MSHRs
     /// are exhausted and cannot be leapfrogged.
-    #[allow(clippy::too_many_arguments)]
-    fn shared_walk(
-        &mut self,
-        line: u64,
-        start: u64,
-        now: u64,
-        speculative: bool,
-        fill_l2: bool,
-        ts: u64,
-        core: usize,
-        ticket: Ticket,
-        leapfrog: bool,
-    ) -> Result<u64, u64> {
-        let l2_lat = self.cfg.l2.latency;
-        if self.l2.access(line).is_some() {
+    fn shared_walk(&mut self, w: &Walk) -> Result<u64, u64> {
+        let l2_start = w.start + self.cfg.l2.latency;
+        if self.l2.access(w.line).is_some() {
             self.stats.bump(id::l2_hits());
-            return Ok(start + l2_lat);
+            return Ok(l2_start);
         }
-        self.l2_mshr.reclaim(now);
-        if let Some((tok, e)) = self.l2_mshr.find(line) {
-            if e.ts != SQUASHED_TS && (e.ts <= ts || !leapfrog) {
-                self.audit(core, e.ts, ts, FlowKind::MshrCoalesce);
-                return Ok(e.ready_at.max(start + l2_lat));
+        self.l2_mshr.reclaim(w.now);
+        if let Some((tok, e)) = self.l2_mshr.find(w.line) {
+            if e.ts != SQUASHED_TS && (e.ts <= w.ts || !w.leapfrog) {
+                self.audit(w.core, e.ts, w.ts, FlowKind::MshrCoalesce);
+                return Ok(e.ready_at.max(l2_start));
             }
-            // Timeleap (§4.5): the in-flight miss belongs to a younger
-            // (or squashed) instruction; restart it at this level so our
-            // timing matches a fresh issue — a real DRAM access, not a
-            // head start — and cancel-and-replay the younger load. Data
-            // cannot arrive before the physical fill completes.
+            // Timeleap (§4.5) at this level: restart with a real DRAM
+            // access, not a head start.
             self.stats.bump(id::timeleaps());
-            if e.owner != NO_OWNER {
-                self.pending_cancels.push((e.owner, e.payload));
-            }
+            self.cancel_owner(&e);
             let fresh = self
                 .dram
-                .access(line, start + l2_lat, speculative)
+                .access(w.line, l2_start, w.speculative)
                 .max(e.ready_at);
-            self.l2_mshr.retime(tok, ts, core, ticket, fresh);
+            self.l2_mshr.retime(tok, w.ts, w.core, w.ticket, fresh);
             return Ok(fresh);
         }
-        if self.l2_mshr.free_at(now) == 0 {
-            if leapfrog {
-                if let Some((tok, victim)) = self.l2_mshr.youngest() {
-                    if victim.ts > ts {
-                        self.stats.bump(id::leapfrogs());
-                        self.l2_mshr.steal(tok);
-                        if victim.owner != NO_OWNER {
-                            self.pending_cancels.push((victim.owner, victim.payload));
-                        }
-                        self.audit(core, ts, victim.ts, FlowKind::ResourceContention);
-                    }
-                }
-            }
-            if self.l2_mshr.free_at(now) == 0 {
-                let at = self.l2_mshr.next_free_at().unwrap_or(now + 1).max(now + 1);
-                return Err(at);
-            }
+        if let Some(at) = self.mshr_full(Level::L2, w, w.leapfrog) {
+            return Err(at);
         }
         self.stats.bump(id::dram_accesses());
-        let done = self.dram.access(line, start + l2_lat, speculative);
+        let done = self.dram.access(w.line, l2_start, w.speculative);
         self.l2_mshr
-            .alloc(line, done, ts, core, ticket, now)
+            .alloc(w.line, done, w.ts, w.core, w.ticket, w.now)
             .expect("space ensured above");
-        if fill_l2 {
-            self.l2.fill(line, MesiState::Exclusive, 0);
+        if w.fill_l2 {
+            self.l2.fill(w.line, MesiState::Exclusive, 0);
         }
         Ok(done)
     }
@@ -412,230 +613,8 @@ impl MemorySystem {
         self.cfg.l2.latency
     }
 
-    /// Data-load path for schemes whose speculative fills go straight
-    /// into the L1/L2 (Unsafe, STT, and the data side of IMinion-only).
-    fn load_unsafe(&mut self, req: &MemReq, ticket: Ticket) -> LoadResp {
-        let line = line_addr(req.addr);
-        let now = req.now;
-        let lat = self.cfg.l1d.latency;
-        self.stats.add_id(id::energy_l1d_reads(), 1);
-        // In-flight misses first: the synchronous walk installs tags at
-        // request time, so a pending MSHR entry — not a tag probe — is
-        // the source of truth for data that has not yet arrived.
-        self.cores[req.core].l1d_mshr.reclaim(now);
-        if let Some((_, e)) = self.cores[req.core].l1d_mshr.find(line) {
-            self.audit(req.core, e.ts, req.ts, FlowKind::MshrCoalesce);
-            return LoadResp::Done {
-                at: e.ready_at.max(now + lat),
-                ticket,
-                filled_locally: true,
-            };
-        }
-        if self.cores[req.core].l1d.access(line).is_some() {
-            self.stats.bump(id::l1d_hits());
-            return LoadResp::Done {
-                at: now + lat,
-                ticket,
-                filled_locally: true,
-            };
-        }
-        if self.cores[req.core].l1d_mshr.free_at(now) == 0 {
-            let at = self.cores[req.core]
-                .l1d_mshr
-                .next_free_at()
-                .unwrap_or(now + 1)
-                .max(now + 1);
-            self.stats.bump(id::mshr_retries());
-            return LoadResp::Retry { at };
-        }
-        // Coherence: a speculative load freely downgrades remote copies
-        // (this is one of the channels GhostMinion's extension closes).
-        let mut extra = 0;
-        if let Some(owner) = self.remote_owner(line, req.core) {
-            extra = self.downgrade_remote(line, owner);
-        }
-        let done = match self.shared_walk(
-            line,
-            now + lat + extra,
-            now,
-            req.speculative,
-            true,
-            req.ts,
-            req.core,
-            ticket,
-            false,
-        ) {
-            Ok(t) => t,
-            Err(at) => return LoadResp::Retry { at },
-        };
-        self.cores[req.core]
-            .l1d_mshr
-            .alloc(line, done, req.ts, req.core, ticket, now)
-            .expect("space checked");
-        self.stats.add_id(id::energy_l1d_writes(), 1);
-        if let Some(ev) = self.cores[req.core].l1d.fill(line, MesiState::Exclusive, 0) {
-            if ev.dirty {
-                self.l2.fill(ev.addr, MesiState::Modified, 0);
-            }
-        }
-        self.train_prefetcher_for(req.core, req.pc, req.addr);
-        LoadResp::Done {
-            at: done,
-            ticket,
-            filled_locally: true,
-        }
-    }
-
-    /// Data-load path for GhostMinion (§4.2–§4.6).
-    fn load_ghost(&mut self, req: &MemReq, ticket: Ticket, c: GhostMinionConfig) -> LoadResp {
-        let line = line_addr(req.addr);
-        let now = req.now;
-        let lat = self.cfg.l1d.latency;
-        self.stats.add_id(id::energy_l1d_reads(), 1);
-        self.stats.add_id(id::energy_minion_reads(), 1);
-        // In-flight misses first (see load_unsafe): coalesce or timeleap.
-        self.cores[req.core].l1d_mshr.reclaim(now);
-        if let Some((tok, e)) = self.cores[req.core].l1d_mshr.find(line) {
-            if e.ts != SQUASHED_TS && (e.ts <= req.ts || !c.leapfrog) {
-                self.audit(req.core, e.ts, req.ts, FlowKind::MshrCoalesce);
-                // The arriving fill is (re)stamped with this live
-                // requester's timestamp: safe under the fill rule, and it
-                // keeps the line available for this load's commit even if
-                // the original allocator was squashed and wiped.
-                let filled = self.ghost_fill_minion(req.core, line, req.ts);
-                return LoadResp::Done {
-                    at: e.ready_at.max(now + lat),
-                    ticket,
-                    filled_locally: filled,
-                };
-            }
-            // Timeleap (§4.5): the in-flight miss belongs to a younger
-            // (or squashed) instruction; restart it with genuine
-            // fresh-miss timing and cancel-and-replay the younger load.
-            self.stats.bump(id::timeleaps());
-            if e.owner != NO_OWNER {
-                self.pending_cancels.push((e.owner, e.payload));
-            }
-            let walk = match self.shared_walk(
-                line,
-                now + lat,
-                now,
-                true,
-                false,
-                req.ts,
-                req.core,
-                ticket,
-                c.leapfrog,
-            ) {
-                Ok(t) => t,
-                Err(at) => return LoadResp::Retry { at },
-            };
-            let fresh = walk.max(e.ready_at);
-            self.cores[req.core]
-                .l1d_mshr
-                .retime(tok, req.ts, req.core, ticket, fresh);
-            let filled = self.ghost_fill_minion(req.core, line, req.ts);
-            return LoadResp::Done {
-                at: fresh,
-                ticket,
-                filled_locally: filled,
-            };
-        }
-        // Minion probed in parallel with the L1 (§4.3): same latency.
-        match self.cores[req.core].dminion.read(line, req.ts) {
-            MinionRead::Hit { stamp } => {
-                if stamp != req.ts {
-                    self.audit(req.core, stamp, req.ts, FlowKind::CacheLineRead);
-                }
-                self.stats.bump(id::minion_hits());
-                return LoadResp::Done {
-                    at: now + lat,
-                    ticket,
-                    filled_locally: true,
-                };
-            }
-            MinionRead::TimeGuarded => {
-                self.stats.bump(id::timeguards());
-            }
-            MinionRead::Miss => {}
-        }
-        if self.cores[req.core].l1d.access(line).is_some() {
-            self.stats.bump(id::l1d_hits());
-            return LoadResp::Done {
-                at: now + lat,
-                ticket,
-                filled_locally: true,
-            };
-        }
-        if self.cores[req.core].l1d_mshr.free_at(now) == 0 {
-            if c.leapfrog {
-                if let Some((tok, victim)) = self.cores[req.core].l1d_mshr.youngest() {
-                    if victim.ts > req.ts {
-                        self.stats.bump(id::leapfrogs());
-                        self.cores[req.core].l1d_mshr.steal(tok);
-                        if victim.owner != NO_OWNER {
-                            self.pending_cancels.push((victim.owner, victim.payload));
-                        }
-                    }
-                }
-            }
-            if self.cores[req.core].l1d_mshr.free_at(now) == 0 {
-                let at = self.cores[req.core]
-                    .l1d_mshr
-                    .next_free_at()
-                    .unwrap_or(now + 1)
-                    .max(now + 1);
-                self.stats.bump(id::mshr_retries());
-                return LoadResp::Retry { at };
-            }
-        }
-        // Coherence (§4.6): a speculative load must not alter remote
-        // state. If a remote core owns the line Modified/Exclusive, take
-        // a non-coherent copy and replay at commit.
-        let mut extra = 0;
-        if let Some(owner) = self.remote_owner(line, req.core) {
-            if c.coherence {
-                self.stats.bump(id::noncoherent_forwards());
-                self.cores[req.core].noncoherent.insert(line);
-            } else {
-                extra = self.downgrade_remote(line, owner);
-            }
-        }
-        // Speculative misses never fill the L2 (§4.2: the non-speculative
-        // hierarchy sees no speculative state changes).
-        let done = match self.shared_walk(
-            line,
-            now + lat + extra,
-            now,
-            true,
-            false,
-            req.ts,
-            req.core,
-            ticket,
-            c.leapfrog,
-        ) {
-            Ok(t) => t,
-            Err(at) => return LoadResp::Retry { at },
-        };
-        self.cores[req.core]
-            .l1d_mshr
-            .alloc(line, done, req.ts, req.core, ticket, now)
-            .expect("space ensured");
-        // Prefetcher: without the §4.7 gate, training happens here on the
-        // speculative stream (the leaky default the gate removes).
-        if !c.prefetch_gate {
-            self.train_prefetcher_for(req.core, req.pc, req.addr);
-        }
-        let filled = self.ghost_fill_minion(req.core, line, req.ts);
-        LoadResp::Done {
-            at: done,
-            ticket,
-            filled_locally: filled,
-        }
-    }
-
-    fn ghost_fill_minion(&mut self, core: usize, line: u64, ts: u64) -> bool {
-        self.stats.add_id(id::energy_minion_writes(), 1);
+    fn fill_minion(&mut self, core: usize, line: u64, ts: u64) -> bool {
+        self.stats.bump(id::energy_minion_writes());
         match self.cores[core].dminion.fill(line, ts) {
             MinionFill::Filled => true,
             MinionFill::Rejected => {
@@ -645,221 +624,154 @@ impl MemorySystem {
         }
     }
 
-    /// Data-load path for MuonTrap: L0 filter cache in front of the L1.
-    fn load_muontrap(&mut self, req: &MemReq, ticket: Ticket) -> LoadResp {
-        let line = line_addr(req.addr);
-        let now = req.now;
-        // Serial L0 access: +1 cycle before the L1 on L0 miss.
-        let l0_lat = 1;
-        self.cores[req.core].l1d_mshr.reclaim(now);
-        if let Some((tok, e)) = self.cores[req.core].l1d_mshr.find(line) {
-            if e.ts != SQUASHED_TS {
-                return LoadResp::Done {
-                    at: e.ready_at.max(now + self.cfg.l1d.latency + l0_lat),
-                    ticket,
-                    filled_locally: true,
-                };
-            }
-            let walk = match self.shared_walk(
-                line,
-                now + self.cfg.l1d.latency + l0_lat,
-                now,
-                true,
-                false,
-                req.ts,
-                req.core,
-                ticket,
-                false,
-            ) {
-                Ok(t) => t,
-                Err(at) => return LoadResp::Retry { at },
-            };
-            let fresh = walk.max(e.ready_at);
-            self.cores[req.core]
-                .l1d_mshr
-                .retime(tok, req.ts, req.core, ticket, fresh);
-            return LoadResp::Done {
-                at: fresh,
-                ticket,
-                filled_locally: true,
-            };
-        }
-        if self.cores[req.core].l0.access(line).is_some() {
-            self.stats.bump(id::l0_hits());
-            return LoadResp::Done {
-                at: now + l0_lat,
-                ticket,
-                filled_locally: true,
-            };
-        }
-        let lat = self.cfg.l1d.latency + l0_lat;
-        self.stats.add_id(id::energy_l1d_reads(), 1);
-        if self.cores[req.core].l1d.access(line).is_some() {
-            self.stats.bump(id::l1d_hits());
-            return LoadResp::Done {
-                at: now + lat,
-                ticket,
-                filled_locally: true,
-            };
-        }
-        if self.cores[req.core].l1d_mshr.free_at(now) == 0 {
-            let at = self.cores[req.core]
-                .l1d_mshr
-                .next_free_at()
-                .unwrap_or(now + 1)
-                .max(now + 1);
-            self.stats.bump(id::mshr_retries());
-            return LoadResp::Retry { at };
-        }
-        if let Some(_owner) = self.remote_owner(line, req.core) {
-            // MuonTrap's non-coherent forwarding (the technique
-            // GhostMinion §4.6 reuses).
-            self.stats.bump(id::noncoherent_forwards());
-            self.cores[req.core].noncoherent.insert(line);
-        }
-        let done = match self.shared_walk(
-            line,
-            now + lat,
-            now,
-            true,
-            false,
-            req.ts,
-            req.core,
-            ticket,
-            false,
-        ) {
-            Ok(t) => t,
-            Err(at) => return LoadResp::Retry { at },
-        };
-        self.cores[req.core]
-            .l1d_mshr
-            .alloc(line, done, req.ts, req.core, ticket, now)
-            .expect("space checked");
-        self.cores[req.core].l0.fill(line, MesiState::Shared, 0);
-        LoadResp::Done {
-            at: done,
-            ticket,
-            filled_locally: true,
-        }
-    }
-
-    /// Data-load path for InvisiSpec: no speculative fill anywhere.
-    fn load_invisispec(&mut self, req: &MemReq, ticket: Ticket) -> LoadResp {
-        let line = line_addr(req.addr);
-        let now = req.now;
-        let lat = self.cfg.l1d.latency;
-        self.stats.add_id(id::energy_l1d_reads(), 1);
-        self.cores[req.core].l1d_mshr.reclaim(now);
-        if let Some((tok, e)) = self.cores[req.core].l1d_mshr.find(line) {
-            if e.ts != SQUASHED_TS {
-                return LoadResp::Done {
-                    at: e.ready_at.max(now + lat),
-                    ticket,
-                    filled_locally: true,
-                };
-            }
-            // The in-flight miss belongs to a squashed load: this access
-            // must observe genuine fresh-miss timing.
-            let walk = match self.shared_walk(
-                line,
-                now + lat,
-                now,
-                true,
-                false,
-                req.ts,
-                req.core,
-                ticket,
-                false,
-            ) {
-                Ok(t) => t,
-                Err(at) => return LoadResp::Retry { at },
-            };
-            let fresh = walk.max(e.ready_at);
-            self.cores[req.core]
-                .l1d_mshr
-                .retime(tok, req.ts, req.core, ticket, fresh);
-            return LoadResp::Done {
-                at: fresh,
-                ticket,
-                filled_locally: true,
-            };
-        }
-        if self.cores[req.core].l1d.access(line).is_some() {
-            self.stats.bump(id::l1d_hits());
-            return LoadResp::Done {
-                at: now + lat,
-                ticket,
-                filled_locally: true,
-            };
-        }
-        if self.cores[req.core].l1d_mshr.free_at(now) == 0 {
-            let at = self.cores[req.core]
-                .l1d_mshr
-                .next_free_at()
-                .unwrap_or(now + 1)
-                .max(now + 1);
-            self.stats.bump(id::mshr_retries());
-            return LoadResp::Retry { at };
-        }
-        if self.remote_owner(line, req.core).is_some() {
-            self.stats.bump(id::noncoherent_forwards());
-            self.cores[req.core].noncoherent.insert(line);
-        }
-        let done = match self.shared_walk(
-            line,
-            now + lat,
-            now,
-            true,
-            false,
-            req.ts,
-            req.core,
-            ticket,
-            false,
-        ) {
-            Ok(t) => t,
-            Err(at) => return LoadResp::Retry { at },
-        };
-        self.cores[req.core]
-            .l1d_mshr
-            .alloc(line, done, req.ts, req.core, ticket, now)
-            .expect("space checked");
-        // The data lives only in the load's own buffer entry.
-        LoadResp::Done {
-            at: done,
-            ticket,
-            filled_locally: true,
-        }
-    }
-
-    /// Fills the committed line into L1 (and L2), handling the dirty
-    /// eviction.
-    fn fill_l1d_committed(&mut self, core: usize, line: u64) {
-        self.stats.add_id(id::energy_l1d_writes(), 1);
-        if let Some(ev) = self.cores[core].l1d.fill(line, MesiState::Exclusive, 0) {
+    /// Installs `line` in `core`'s L1D, writing a dirty victim back to
+    /// the L2.
+    fn fill_l1d(&mut self, core: usize, line: u64, state: MesiState) {
+        if let Some(ev) = self.cores[core].l1d.fill(line, state, 0) {
             if ev.dirty {
                 self.l2.fill(ev.addr, MesiState::Modified, 0);
             }
         }
+    }
+
+    /// Fills the committed line into L1 and L2.
+    fn fill_l1d_committed(&mut self, core: usize, line: u64) {
+        self.stats.bump(id::energy_l1d_writes());
+        self.fill_l1d(core, line, MesiState::Exclusive);
         self.l2.fill(line, MesiState::Exclusive, 0);
+    }
+
+    /// §4.6: a load that used a non-coherent copy replays
+    /// non-speculatively before committing. Returns when commit may
+    /// proceed.
+    fn replay_noncoherent(&mut self, core: usize, line: u64, now: u64) -> u64 {
+        if !self.cores[core].noncoherent.remove(&line) {
+            return now;
+        }
+        self.stats.bump(id::coherence_replays());
+        if let Some(owner) = self.remote_owner(line, core) {
+            self.downgrade_remote(line, owner);
+        }
+        now + self.cfg.replay_latency
+    }
+}
+
+fn done(at: u64, ticket: Ticket, filled_locally: bool) -> LoadResp {
+    LoadResp::Done {
+        at,
+        ticket,
+        filled_locally,
     }
 }
 
 impl MemoryBackend for MemorySystem {
+    /// Every data load, under every scheme: in-flight step, probe of the
+    /// speculative structure and the L1D, MSHR-full step, coherence,
+    /// shared walk and fill. The scheme's `LoadPolicy` makes its choices.
     fn load(&mut self, req: &MemReq) -> LoadResp {
         self.stats.bump(id::loads());
         let ticket = self.fresh_ticket();
-        match self.scheme.kind {
-            SchemeKind::Unsafe | SchemeKind::Stt { .. } => self.load_unsafe(req, ticket),
-            SchemeKind::GhostMinion(c) => {
-                if c.dminion {
-                    self.load_ghost(req, ticket, c)
-                } else {
-                    self.load_unsafe(req, ticket)
-                }
-            }
-            SchemeKind::MuonTrap { .. } => self.load_muontrap(req, ticket),
-            SchemeKind::InvisiSpec { .. } => self.load_invisispec(req, ticket),
+        let p = self.policy;
+        let (core, line, now, ts) = (req.core, line_addr(req.addr), req.now, req.ts);
+        // MuonTrap's L0 sits in front of the L1D: one more cycle on an L0
+        // miss, and the L1D is only read then.
+        let serial = p.spec == Spec::L0;
+        let lat = self.cfg.l1d.latency + u64::from(serial);
+        if !serial {
+            self.stats.bump(id::energy_l1d_reads());
         }
+        if p.spec == Spec::Minion {
+            self.stats.bump(id::energy_minion_reads());
+        }
+        let mut w = Walk {
+            line,
+            start: now + lat,
+            now,
+            speculative: !p.pass_req_speculative || req.speculative,
+            fill_l2: p.spec == Spec::L1L2,
+            ts,
+            core,
+            ticket,
+            leapfrog: p.leapfrog,
+        };
+        if let Some(r) = self.in_flight(Level::L1d, &w, p.orphans, p.audit) {
+            // The arriving fill is (re)stamped with this live requester's
+            // timestamp: safe under the fill rule, and it keeps the line
+            // available for this load's commit even if the original
+            // allocator was squashed and wiped.
+            return match r {
+                Ok(at) => done(
+                    at,
+                    ticket,
+                    p.spec != Spec::Minion || self.fill_minion(core, line, ts),
+                ),
+                Err(at) => LoadResp::Retry { at },
+            };
+        }
+        match p.spec {
+            // The minion is probed in parallel with the L1 (§4.3).
+            Spec::Minion => match self.cores[core].dminion.read(line, ts) {
+                MinionRead::Hit { stamp } => {
+                    if stamp != ts {
+                        self.audit(core, stamp, ts, FlowKind::CacheLineRead);
+                    }
+                    self.stats.bump(id::minion_hits());
+                    return done(now + lat, ticket, true);
+                }
+                MinionRead::TimeGuarded => self.stats.bump(id::timeguards()),
+                MinionRead::Miss => {}
+            },
+            Spec::L0 => {
+                if self.cores[core].l0.access(line).is_some() {
+                    self.stats.bump(id::l0_hits());
+                    return done(now + 1, ticket, true);
+                }
+                self.stats.bump(id::energy_l1d_reads());
+            }
+            Spec::L1L2 | Spec::Nowhere => {}
+        }
+        if self.cores[core].l1d.access(line).is_some() {
+            self.stats.bump(id::l1d_hits());
+            return done(now + lat, ticket, true);
+        }
+        if let Some(at) = self.mshr_full(Level::L1d, &w, p.leapfrog) {
+            self.stats.bump(id::mshr_retries());
+            return LoadResp::Retry { at };
+        }
+        // Coherence: an unprotected speculative load freely downgrades a
+        // remote Modified/Exclusive copy (one of the channels §4.6
+        // closes); the protected schemes take a non-coherent copy and
+        // replay at commit.
+        if let Some(owner) = self.remote_owner(line, core) {
+            if p.forward_remote {
+                self.stats.bump(id::noncoherent_forwards());
+                self.cores[core].noncoherent.insert(line);
+            } else {
+                w.start += self.downgrade_remote(line, owner);
+            }
+        }
+        let at = match self.miss(Level::L1d, &w) {
+            Ok(at) => at,
+            Err(at) => return LoadResp::Retry { at },
+        };
+        let filled = match p.spec {
+            Spec::L1L2 => {
+                self.stats.bump(id::energy_l1d_writes());
+                self.fill_l1d(core, line, MesiState::Exclusive);
+                true
+            }
+            Spec::Minion => self.fill_minion(core, line, ts),
+            Spec::L0 => {
+                self.cores[core].l0.fill(line, MesiState::Shared, 0);
+                true
+            }
+            // InvisiSpec: the data lives only in the load's buffer entry.
+            Spec::Nowhere => true,
+        };
+        if p.train_speculative {
+            self.train_prefetcher_for(core, req.pc, req.addr);
+        }
+        done(at, ticket, filled)
     }
 
     fn commit_load(&mut self, req: &MemReq) -> u64 {
@@ -871,17 +783,8 @@ impl MemoryBackend for MemorySystem {
         match self.scheme.kind {
             SchemeKind::Unsafe | SchemeKind::Stt { .. } => now,
             SchemeKind::GhostMinion(c) if c.dminion => {
-                let mut ready = now;
-                if c.coherence && self.cores[req.core].noncoherent.remove(&line) {
-                    // §4.6: the load used a non-coherent copy; replay it
-                    // non-speculatively before committing.
-                    self.stats.bump(id::coherence_replays());
-                    if let Some(owner) = self.remote_owner(line, req.core) {
-                        self.downgrade_remote(line, owner);
-                    }
-                    ready = now + self.cfg.replay_latency;
-                }
-                self.stats.add_id(id::energy_minion_reads(), 1);
+                let ready = self.replay_noncoherent(req.core, line, now);
+                self.stats.bump(id::energy_minion_reads());
                 if self.cores[req.core].dminion.take_for_commit(line, req.ts) {
                     self.stats.bump(id::commit_moves());
                     self.fill_l1d_committed(req.core, line);
@@ -914,14 +817,7 @@ impl MemoryBackend for MemorySystem {
             }
             SchemeKind::GhostMinion(_) => now,
             SchemeKind::MuonTrap { .. } => {
-                let mut ready = now;
-                if self.cores[req.core].noncoherent.remove(&line) {
-                    self.stats.bump(id::coherence_replays());
-                    if let Some(owner) = self.remote_owner(line, req.core) {
-                        self.downgrade_remote(line, owner);
-                    }
-                    ready = now + self.cfg.replay_latency;
-                }
+                let ready = self.replay_noncoherent(req.core, line, now);
                 if self.cores[req.core].l0.probe(line).is_some()
                     && self.cores[req.core].l1d.probe(line).is_none()
                 {
@@ -945,17 +841,7 @@ impl MemoryBackend for MemorySystem {
                 self.stats.bump(id::exposures());
                 let t = self.fresh_ticket();
                 let done = self
-                    .shared_walk(
-                        line,
-                        now + self.cfg.l1d.latency,
-                        now,
-                        false,
-                        true,
-                        0,
-                        NO_OWNER,
-                        t,
-                        false,
-                    )
+                    .shared_walk(&Walk::committed(line, now + self.cfg.l1d.latency, now, t))
                     .unwrap_or(now + self.cfg.replay_latency);
                 self.fill_l1d_committed(req.core, line);
                 self.train_prefetcher_for(req.core, req.pc, req.addr);
@@ -989,7 +875,7 @@ impl MemoryBackend for MemorySystem {
             self.cores[i].dminion.invalidate(line);
             self.cores[i].noncoherent.remove(&line);
         }
-        self.stats.add_id(id::energy_l1d_writes(), 1);
+        self.stats.bump(id::energy_l1d_writes());
         if self.cores[req.core].l1d.probe(line).is_some() {
             self.cores[req.core].l1d.mark_dirty(line);
             return;
@@ -997,145 +883,91 @@ impl MemoryBackend for MemorySystem {
         // Write-allocate, non-speculative (never leapfrogged: ts 0).
         let t = self.fresh_ticket();
         let done = self
-            .shared_walk(
-                line,
-                now + self.cfg.l1d.latency,
-                now,
-                false,
-                true,
-                0,
-                NO_OWNER,
-                t,
-                false,
-            )
+            .shared_walk(&Walk::committed(line, now + self.cfg.l1d.latency, now, t))
             .unwrap_or(now + self.cfg.replay_latency);
         self.cores[req.core]
             .l1d_mshr
             .alloc(line, done, 0, NO_OWNER, 0, now);
-        if let Some(ev) = self.cores[req.core].l1d.fill(line, MesiState::Modified, 0) {
-            if ev.dirty {
-                self.l2.fill(ev.addr, MesiState::Modified, 0);
-            }
-        }
+        self.fill_l1d(req.core, line, MesiState::Modified);
         self.cores[req.core].l1d.mark_dirty(line);
     }
 
+    /// Instruction fetch: the data path's in-flight, MSHR-full and miss
+    /// steps on the L1I, with the IMinion (§4.8) in the minion's place.
+    /// Fetch misses never count `mshr_retries` and never leapfrog at the
+    /// L1I; a restarted orphan does not leapfrog at the L2 either.
     fn ifetch(&mut self, req: &MemReq) -> LoadResp {
         self.stats.bump(id::ifetches());
         let ticket = self.fresh_ticket();
-        let line = line_addr(req.addr);
-        let now = req.now;
+        let p = self.policy;
+        let (core, line, now) = (req.core, line_addr(req.addr), req.now);
         let lat = self.cfg.l1i.latency;
-        let use_iminion = self.gm().is_some_and(|c| c.iminion);
-        self.cores[req.core].l1i_mshr.reclaim(now);
-        if let Some((tok, e)) = self.cores[req.core].l1i_mshr.find(line) {
-            if e.ts != SQUASHED_TS || !use_iminion {
-                return LoadResp::Done {
-                    at: e.ready_at.max(now + lat),
-                    ticket,
-                    filled_locally: true,
-                };
-            }
-            let walk = match self.shared_walk(
-                line,
-                now + lat,
-                now,
-                true,
-                true,
-                req.ts,
-                req.core,
-                ticket,
-                false,
-            ) {
-                Ok(t) => t,
-                Err(at) => return LoadResp::Retry { at },
-            };
-            let fresh = walk.max(e.ready_at);
-            self.cores[req.core]
-                .l1i_mshr
-                .retime(tok, req.ts, req.core, ticket, fresh);
-            return LoadResp::Done {
-                at: fresh,
-                ticket,
-                filled_locally: true,
+        let w = Walk {
+            line,
+            start: now + lat,
+            now,
+            speculative: true,
+            fill_l2: true,
+            ts: req.ts,
+            core,
+            ticket,
+            leapfrog: false,
+        };
+        let orphans = if p.iminion {
+            Orphans::Restart
+        } else {
+            Orphans::Coalesce
+        };
+        if let Some(r) = self.in_flight(Level::L1i, &w, orphans, false) {
+            return match r {
+                Ok(at) => done(at, ticket, true),
+                Err(at) => LoadResp::Retry { at },
             };
         }
-        if use_iminion {
-            self.stats.add_id(id::energy_iminion_reads(), 1);
-            if let MinionRead::Hit { .. } = self.cores[req.core].iminion.read(line, req.ts) {
+        if p.iminion {
+            self.stats.bump(id::energy_iminion_reads());
+            if let MinionRead::Hit { .. } = self.cores[core].iminion.read(line, req.ts) {
                 self.stats.bump(id::iminion_hits());
-                return LoadResp::Done {
-                    at: now + lat,
-                    ticket,
-                    filled_locally: true,
-                };
+                return done(now + lat, ticket, true);
             }
         }
-        self.stats.add_id(id::energy_l1i_reads(), 1);
-        if self.cores[req.core].l1i.access(line).is_some() {
+        self.stats.bump(id::energy_l1i_reads());
+        if self.cores[core].l1i.access(line).is_some() {
             self.stats.bump(id::l1i_hits());
-            return LoadResp::Done {
-                at: now + lat,
-                ticket,
-                filled_locally: true,
-            };
+            return done(now + lat, ticket, true);
         }
-        if self.cores[req.core].l1i_mshr.free_at(now) == 0 {
-            let at = self.cores[req.core]
-                .l1i_mshr
-                .next_free_at()
-                .unwrap_or(now + 1)
-                .max(now + 1);
+        if let Some(at) = self.mshr_full(Level::L1i, &w, false) {
             return LoadResp::Retry { at };
         }
-        let leapfrog = self.gm().is_some_and(|c| c.leapfrog && c.iminion);
         // Instruction misses allocate in the shared L2 even when an
         // IMinion is present: the paper protects the L1-level structure
         // (§4.8) and reports ~zero IMinion overhead (Fig. 9), which is
         // only achievable if wiped wrong-path lines refetch from the L2
         // rather than DRAM. The residual L2-presence channel for
         // instructions is out of the paper's evaluation scope.
-        let done = match self.shared_walk(
-            line,
-            now + lat,
-            now,
-            true,
-            true,
-            req.ts,
-            req.core,
-            ticket,
-            leapfrog,
-        ) {
-            Ok(t) => t,
+        let leapfrog = p.ifetch_leapfrog;
+        let at = match self.miss(Level::L1i, &Walk { leapfrog, ..w }) {
+            Ok(at) => at,
             Err(at) => return LoadResp::Retry { at },
         };
-        self.cores[req.core]
-            .l1i_mshr
-            .alloc(line, done, req.ts, req.core, ticket, now);
-        if use_iminion {
-            self.stats.add_id(id::energy_iminion_writes(), 1);
-            self.cores[req.core].iminion.fill(line, req.ts);
+        if p.iminion {
+            self.stats.bump(id::energy_iminion_writes());
+            self.cores[core].iminion.fill(line, req.ts);
         } else {
-            self.cores[req.core].l1i.fill(line, MesiState::Shared, 0);
+            self.cores[core].l1i.fill(line, MesiState::Shared, 0);
         }
-        LoadResp::Done {
-            at: done,
-            ticket,
-            filled_locally: true,
-        }
+        done(at, ticket, true)
     }
 
-    fn commit_ifetch(&mut self, core: usize, line: u64, _now: u64) {
-        if self.gm().is_some_and(|c| c.iminion)
-            && self.cores[core].iminion.take_for_commit(line, u64::MAX)
-        {
+    fn commit_ifetch(&mut self, core: usize, line: u64) {
+        if self.policy.iminion && self.cores[core].iminion.take_for_commit(line, u64::MAX) {
             self.stats.bump(id::iminion_commit_moves());
             self.cores[core].l1i.fill(line, MesiState::Shared, 0);
             self.l2.fill(line, MesiState::Shared, 0);
         }
     }
 
-    fn squash(&mut self, core: usize, above_ts: u64, max_ts: u64, now: u64) {
+    fn squash(&mut self, core: usize, above_ts: u64, max_ts: u64) {
         self.stats.bump(id::squashes());
         if let Some(a) = self.auditor.as_mut() {
             a.settle_squash(core, above_ts, max_ts);
@@ -1177,7 +1009,6 @@ impl MemoryBackend for MemorySystem {
             }
             _ => {}
         }
-        let _ = now;
     }
 
     fn take_cancellations(&mut self, core: usize) -> Vec<Ticket> {
@@ -1322,7 +1153,7 @@ mod tests {
         let mut m = ghost_sys();
         done_at(m.load(&req(0, 0x1000, 5, 0)));
         done_at(m.load(&req(0, 0x2000, 15, 200)));
-        m.squash(0, 10, 20, 400);
+        m.squash(0, 10, 20);
         // ts-5 line survives; ts-15 line is gone.
         assert!(m.cores[0].dminion.probe_stamp(0x1000).is_some());
         assert!(m.cores[0].dminion.probe_stamp(0x2000).is_none());
@@ -1404,7 +1235,7 @@ mod tests {
         // orphan like Unsafe instead of timeleaping.
         let mut m = MemorySystem::new(Scheme::iminion_only(), HierarchyConfig::tiny(), 1);
         let t1 = done_at(m.load(&req(0, 0x4000, 30, 0)));
-        m.squash(0, 10, 40, 1);
+        m.squash(0, 10, 40);
         let (_, e) = m.cores[0].l1d_mshr.find(0x4000).expect("in flight");
         assert_eq!(e.ts, SQUASHED_TS, "squash orphans the entry");
         let t2 = done_at(m.load(&req(0, 0x4000, 8, 2)));
@@ -1443,7 +1274,7 @@ mod tests {
         ] {
             let mut m = MemorySystem::new(scheme, HierarchyConfig::tiny(), 1);
             let t1 = done_at(m.load(&req(0, 0x4000, 30, 0)));
-            m.squash(0, 10, 40, 1);
+            m.squash(0, 10, 40);
             let t2 = done_at(m.load(&req(0, 0x4000, 8, 2)));
             assert!(t2 >= t1, "{}: data no earlier than the fill", scheme.name());
             let (_, e) = m.cores[0].l1d_mshr.find(0x4000).expect("in flight");
@@ -1480,7 +1311,7 @@ mod tests {
         let mut flush = MemorySystem::new(Scheme::muontrap_flush(), HierarchyConfig::tiny(), 1);
         for m in [&mut base, &mut flush] {
             done_at(m.load(&req(0, 0x1000, 5, 0)));
-            m.squash(0, 0, 10, 100);
+            m.squash(0, 0, 10);
         }
         assert!(base.cores[0].l0.probe(0x1000).is_some(), "base keeps data");
         assert!(flush.cores[0].l0.probe(0x1000).is_none(), "flush wipes");
@@ -1624,10 +1455,10 @@ mod tests {
         let mut m = ghost_sys();
         let mut ireq = req(0, gm_isa::ITEXT_BASE, 5, 0);
         ireq.kind = AccessKind::Ifetch;
-        let t1 = done_at(m.ifetch(&ireq));
+        done_at(m.ifetch(&ireq));
         assert!(m.cores[0].l1i.probe(gm_isa::ITEXT_BASE).is_none());
         // Commit promotes to L1I.
-        m.commit_ifetch(0, gm_isa::ITEXT_BASE, t1);
+        m.commit_ifetch(0, gm_isa::ITEXT_BASE);
         assert!(m.cores[0].l1i.probe(gm_isa::ITEXT_BASE).is_some());
         assert_eq!(m.stats().get("iminion_commit_moves"), 1);
     }
@@ -1639,7 +1470,7 @@ mod tests {
         // Younger inst (ts 30) brings a line in...
         let t1 = done_at(m.load(&req(0, 0x5000, 30, 0)));
         // ...then is squashed...
-        m.squash(0, 10, 40, t1);
+        m.squash(0, 10, 40);
         // ...but the line persists, and an older inst (ts 8) coalesces/hits.
         done_at(m.load(&req(0, 0x5008, 8, t1 + 1)));
         let mut creq = req(0, 0x5008, 8, t1 + 50);
@@ -1657,7 +1488,7 @@ mod tests {
         let mut m = ghost_sys();
         m.auditor = Some(OrderAuditor::new());
         let t1 = done_at(m.load(&req(0, 0x5000, 30, 0)));
-        m.squash(0, 10, 40, t1);
+        m.squash(0, 10, 40);
         let t2 = done_at(m.load(&req(0, 0x5000, 8, t1 + 1)));
         let mut creq = req(0, 0x5000, 8, t2);
         creq.speculative = false;

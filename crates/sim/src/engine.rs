@@ -490,7 +490,7 @@ impl Core {
         self.ticks += 1;
         self.stats.cycles = now + 1;
         self.fu.new_cycle();
-        self.drain_cancellations(mem, now);
+        self.drain_cancellations(mem);
         let ungated = self.reference;
         gated_stage!(self, 0, ungated || self.writeback_pending(now), {
             self.writeback(mem, now)
@@ -605,7 +605,7 @@ impl Core {
 
     // ---- cancellations (leapfrogging, §4.5) ----
 
-    fn drain_cancellations(&mut self, mem: &mut dyn MemoryBackend, _now: u64) {
+    fn drain_cancellations(&mut self, mem: &mut dyn MemoryBackend) {
         let cancelled = mem.take_cancellations(self.id);
         if cancelled.is_empty() {
             return;
@@ -783,7 +783,7 @@ impl Core {
         self.cur_fetch_line = None;
         self.fetch_pc = redirect_pc;
         self.fetch_stall_until = self.fetch_stall_until.max(now + 1);
-        mem.squash(self.id, seq, max_ts, now);
+        mem.squash(self.id, seq, max_ts);
     }
 
     // ---- commit ----
@@ -897,7 +897,7 @@ impl Core {
             }
 
             if fetch_line != self.last_committed_iline {
-                mem.commit_ifetch(self.id, fetch_line, now);
+                mem.commit_ifetch(self.id, fetch_line);
                 self.last_committed_iline = fetch_line;
             }
 
@@ -1603,8 +1603,8 @@ mod tests {
                 filled_locally: true,
             }
         }
-        fn commit_ifetch(&mut self, _core: usize, _line: u64, _now: u64) {}
-        fn squash(&mut self, _core: usize, _above: u64, _max: u64, _now: u64) {}
+        fn commit_ifetch(&mut self, _core: usize, _line: u64) {}
+        fn squash(&mut self, _core: usize, _above: u64, _max: u64) {}
         fn take_cancellations(&mut self, _core: usize) -> Vec<u64> {
             Vec::new()
         }

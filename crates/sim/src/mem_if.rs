@@ -110,13 +110,16 @@ pub trait MemoryBackend {
     fn ifetch(&mut self, req: &MemReq) -> LoadResp;
 
     /// Notifies that an instruction fetched from `line_addr` committed,
-    /// so an instruction-side minion may promote the line (§4.8).
-    fn commit_ifetch(&mut self, core: usize, line_addr: u64, now: u64);
+    /// so an instruction-side minion may promote the line (§4.8). The
+    /// promotion is off the critical path and charges no cycles, so the
+    /// call carries no time.
+    fn commit_ifetch(&mut self, core: usize, line_addr: u64);
 
     /// Squash: wipe core-local speculative state with timestamp strictly
-    /// greater than `above_ts` (§4.2: timing-invariant single-cycle wipe).
-    /// `max_ts` is the youngest squashed timestamp (for order auditing).
-    fn squash(&mut self, core: usize, above_ts: u64, max_ts: u64, now: u64);
+    /// greater than `above_ts` (§4.2: timing-invariant single-cycle wipe,
+    /// so the call carries no time). `max_ts` is the youngest squashed
+    /// timestamp (for order auditing).
+    fn squash(&mut self, core: usize, above_ts: u64, max_ts: u64);
 
     /// Drains tickets of in-flight loads the backend cancelled (leapfrog
     /// steals, §4.5). The core replays those loads.
