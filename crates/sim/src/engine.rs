@@ -1148,6 +1148,11 @@ impl Core {
                 .map(|le| (le.seq, le.retry_at))),
             "send list drifted from the queue"
         );
+        debug_assert_eq!(
+            self.lq.blocked(),
+            self.lq.iter().filter(|le| le.blocked_on.is_some()).count(),
+            "blocked-load count drifted from the queue"
+        );
         let (mut sent, mut last_send_seq) = (0, 0);
         let mut k = 0;
         while k < self.send.len() && sent < MEM_PORTS {
@@ -1236,7 +1241,7 @@ impl Core {
             ForwardResult::UnknownAddr(s) | ForwardResult::Partial(s) => {
                 // Re-check only when that store resolves or drains;
                 // until then the check's result cannot change.
-                self.lq.at_mut(li).blocked_on = Some(s);
+                self.lq.block_on(li, s);
                 self.emit(now, || TraceEvent::MemBlock { seq, store_seq: s });
                 SendOutcome::Left
             }

@@ -190,7 +190,8 @@ pub struct LoadEntry {
     /// resolves or drains — the engine clears this then — so the LSQ
     /// skips the candidate instead of re-running the forward scan every
     /// cycle. Always an *older* store, so a squash that keeps the load
-    /// keeps the blocker.
+    /// keeps the blocker. Set only through [`LoadQueue::block_on`], which
+    /// keeps the queue's count of blocked loads.
     pub blocked_on: Option<u64>,
     /// STT: the load failed its visibility check and is parked until the
     /// last older unresolved branch (and, under `TaintMode::Future`,
@@ -239,6 +240,9 @@ pub struct LoadQueue {
     /// spans the seqs from the oldest load to the youngest.
     by_seq: VecDeque<u64>,
     first_seq: u64,
+    /// Loads whose `blocked_on` is set: while it is zero,
+    /// [`LoadQueue::unblock_store`] skips its walk.
+    blocked: usize,
 }
 
 impl LoadQueue {
@@ -251,6 +255,7 @@ impl LoadQueue {
             popped: 0,
             by_seq: VecDeque::new(),
             first_seq: 0,
+            blocked: 0,
         }
     }
 
@@ -294,14 +299,32 @@ impl LoadQueue {
         });
     }
 
+    /// Marks the load at position `i` as waiting on store `store_seq`
+    /// (see [`LoadEntry::blocked_on`]).
+    pub fn block_on(&mut self, i: usize, store_seq: u64) {
+        if self.entries[i].blocked_on.replace(store_seq).is_none() {
+            self.blocked += 1;
+        }
+    }
+
+    /// Number of loads waiting on a store.
+    pub fn blocked(&self) -> usize {
+        self.blocked
+    }
+
     /// Clears the store-blocked marker of every load waiting on store
     /// `seq` (called when that store resolves its address or drains at
     /// commit) and hands each released load to `released`; the loads
-    /// become forward-check candidates again.
+    /// become forward-check candidates again. The walk stops once no
+    /// blocked load is left, so it costs nothing while none is blocked.
     pub fn unblock_store(&mut self, seq: u64, mut released: impl FnMut(&LoadEntry)) {
         for e in self.entries.iter_mut() {
+            if self.blocked == 0 {
+                return;
+            }
             if e.blocked_on == Some(seq) {
                 e.blocked_on = None;
+                self.blocked -= 1;
                 released(e);
             }
         }
@@ -364,6 +387,7 @@ impl LoadQueue {
         let head = self.entries.pop_front().expect("load queue empty");
         assert_eq!(head.seq, seq, "loads must commit in order");
         self.popped += 1;
+        self.blocked -= usize::from(head.blocked_on.is_some());
         let gone = (seq + 1 - self.first_seq) as usize;
         self.by_seq.drain(..gone.min(self.by_seq.len()));
         self.first_seq = seq + 1;
@@ -373,7 +397,8 @@ impl LoadQueue {
     /// Drops all loads with `seq > above` (squash).
     pub fn squash_above(&mut self, above: u64) {
         while self.entries.back().is_some_and(|e| e.seq > above) {
-            self.entries.pop_back();
+            let e = self.entries.pop_back().expect("checked");
+            self.blocked -= usize::from(e.blocked_on.is_some());
         }
         self.by_seq
             .truncate((above + 1).saturating_sub(self.first_seq) as usize);
@@ -538,14 +563,23 @@ mod tests {
     #[test]
     fn unblock_store_releases_only_its_loads() {
         let mut lq = LoadQueue::new(4);
-        for (seq, blocker) in [(5, Some(2)), (6, Some(4)), (7, Some(2))] {
+        for (seq, blocker) in [(5, 2), (6, 4), (7, 2), (8, 4)] {
             lq.push(seq, 8);
-            lq.get_mut(seq).unwrap().blocked_on = blocker;
+            lq.block_on(lq.find(seq).unwrap(), blocker);
         }
+        assert_eq!(lq.blocked(), 4);
         let mut released = Vec::new();
         lq.unblock_store(2, |e| released.push(e.seq));
         assert_eq!(released, vec![5, 7]);
         assert_eq!(lq.get(6).unwrap().blocked_on, Some(4));
+        assert_eq!(lq.blocked(), 2);
+        // Squash and commit drop blocked loads from the count too.
+        lq.squash_above(7);
+        assert_eq!(lq.blocked(), 1);
+        lq.pop_head(5);
+        lq.pop_head(6);
+        assert_eq!(lq.blocked(), 0);
+        lq.unblock_store(4, |_| panic!("nothing is blocked"));
     }
 
     #[test]
