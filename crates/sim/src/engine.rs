@@ -1150,8 +1150,16 @@ impl Core {
         );
         debug_assert_eq!(
             self.lq.blocked(),
-            self.lq.iter().filter(|le| le.blocked_on.is_some()).count(),
-            "blocked-load count drifted from the queue"
+            {
+                let blocked = self
+                    .lq
+                    .iter()
+                    .filter_map(|le| le.blocked_on.map(|s| (s, le.seq)));
+                let mut blocked: Vec<_> = blocked.collect();
+                blocked.sort_unstable();
+                blocked
+            },
+            "blocked-load list drifted from the queue"
         );
         let (mut sent, mut last_send_seq) = (0, 0);
         let mut k = 0;

@@ -191,7 +191,7 @@ pub struct LoadEntry {
     /// skips the candidate instead of re-running the forward scan every
     /// cycle. Always an *older* store, so a squash that keeps the load
     /// keeps the blocker. Set only through [`LoadQueue::block_on`], which
-    /// keeps the queue's count of blocked loads.
+    /// keeps the queue's list of blocked loads.
     pub blocked_on: Option<u64>,
     /// STT: the load failed its visibility check and is parked until the
     /// last older unresolved branch (and, under `TaintMode::Future`,
@@ -240,9 +240,12 @@ pub struct LoadQueue {
     /// spans the seqs from the oldest load to the youngest.
     by_seq: VecDeque<u64>,
     first_seq: u64,
-    /// Loads whose `blocked_on` is set: while it is zero,
-    /// [`LoadQueue::unblock_store`] skips its walk.
-    blocked: usize,
+    /// The loads whose `blocked_on` is set, as (store seq, load seq) in
+    /// ascending order, so [`LoadQueue::unblock_store`] finds a store's
+    /// loads by binary search. Most queued loads can be blocked at once
+    /// (a load waits for every older store address), so a walk over
+    /// them would cost nearly as much as one over the queue.
+    blocked: Vec<(u64, u64)>,
 }
 
 impl LoadQueue {
@@ -255,7 +258,7 @@ impl LoadQueue {
             popped: 0,
             by_seq: VecDeque::new(),
             first_seq: 0,
-            blocked: 0,
+            blocked: Vec::new(),
         }
     }
 
@@ -302,31 +305,35 @@ impl LoadQueue {
     /// Marks the load at position `i` as waiting on store `store_seq`
     /// (see [`LoadEntry::blocked_on`]).
     pub fn block_on(&mut self, i: usize, store_seq: u64) {
-        if self.entries[i].blocked_on.replace(store_seq).is_none() {
-            self.blocked += 1;
-        }
+        let e = &mut self.entries[i];
+        debug_assert!(e.blocked_on.is_none(), "blocked loads are not re-checked");
+        e.blocked_on = Some(store_seq);
+        let key = (store_seq, e.seq);
+        let pos = self.blocked.partition_point(|&k| k < key);
+        self.blocked.insert(pos, key);
     }
 
-    /// Number of loads waiting on a store.
-    pub fn blocked(&self) -> usize {
-        self.blocked
+    /// The loads waiting on a store, as (store seq, load seq) in
+    /// ascending order.
+    pub fn blocked(&self) -> &[(u64, u64)] {
+        &self.blocked
     }
 
     /// Clears the store-blocked marker of every load waiting on store
     /// `seq` (called when that store resolves its address or drains at
-    /// commit) and hands each released load to `released`; the loads
-    /// become forward-check candidates again. The walk stops once no
-    /// blocked load is left, so it costs nothing while none is blocked.
+    /// commit) and hands each released load to `released`, oldest first;
+    /// the loads become forward-check candidates again. Costs a binary
+    /// search plus the released loads, not a walk over the queue.
     pub fn unblock_store(&mut self, seq: u64, mut released: impl FnMut(&LoadEntry)) {
-        for e in self.entries.iter_mut() {
-            if self.blocked == 0 {
-                return;
+        let at = self.blocked.partition_point(|&(store, _)| store < seq);
+        while let Some(&(store, load)) = self.blocked.get(at) {
+            if store != seq {
+                break;
             }
-            if e.blocked_on == Some(seq) {
-                e.blocked_on = None;
-                self.blocked -= 1;
-                released(e);
-            }
+            self.blocked.remove(at);
+            let i = self.index_of(load).expect("blocked load is queued");
+            self.entries[i].blocked_on = None;
+            released(&self.entries[i]);
         }
     }
 
@@ -387,7 +394,9 @@ impl LoadQueue {
         let head = self.entries.pop_front().expect("load queue empty");
         assert_eq!(head.seq, seq, "loads must commit in order");
         self.popped += 1;
-        self.blocked -= usize::from(head.blocked_on.is_some());
+        if head.blocked_on.is_some() {
+            self.blocked.retain(|&(_, load)| load != seq);
+        }
         let gone = (seq + 1 - self.first_seq) as usize;
         self.by_seq.drain(..gone.min(self.by_seq.len()));
         self.first_seq = seq + 1;
@@ -397,9 +406,9 @@ impl LoadQueue {
     /// Drops all loads with `seq > above` (squash).
     pub fn squash_above(&mut self, above: u64) {
         while self.entries.back().is_some_and(|e| e.seq > above) {
-            let e = self.entries.pop_back().expect("checked");
-            self.blocked -= usize::from(e.blocked_on.is_some());
+            self.entries.pop_back();
         }
+        self.blocked.retain(|&(_, load)| load <= above);
         self.by_seq
             .truncate((above + 1).saturating_sub(self.first_seq) as usize);
     }
@@ -567,18 +576,18 @@ mod tests {
             lq.push(seq, 8);
             lq.block_on(lq.find(seq).unwrap(), blocker);
         }
-        assert_eq!(lq.blocked(), 4);
+        assert_eq!(lq.blocked(), &[(2, 5), (2, 7), (4, 6), (4, 8)]);
         let mut released = Vec::new();
         lq.unblock_store(2, |e| released.push(e.seq));
         assert_eq!(released, vec![5, 7]);
         assert_eq!(lq.get(6).unwrap().blocked_on, Some(4));
-        assert_eq!(lq.blocked(), 2);
-        // Squash and commit drop blocked loads from the count too.
+        assert_eq!(lq.blocked(), &[(4, 6), (4, 8)]);
+        // Squash and commit drop blocked loads from the list too.
         lq.squash_above(7);
-        assert_eq!(lq.blocked(), 1);
+        assert_eq!(lq.blocked(), &[(4, 6)]);
         lq.pop_head(5);
         lq.pop_head(6);
-        assert_eq!(lq.blocked(), 0);
+        assert!(lq.blocked().is_empty());
         lq.unblock_store(4, |_| panic!("nothing is blocked"));
     }
 
