@@ -303,7 +303,7 @@ impl LoadQueue {
     }
 
     /// Marks the load at position `i` as waiting on store `store_seq`
-    /// (see [`LoadEntry::blocked_on`]).
+    /// (see `LoadEntry::blocked_on`).
     pub fn block_on(&mut self, i: usize, store_seq: u64) {
         let e = &mut self.entries[i];
         debug_assert!(e.blocked_on.is_none(), "blocked loads are not re-checked");
