@@ -10,7 +10,7 @@ fn main() {
         let r = m.run(50_000_000);
         let dt = t0.elapsed();
         let t1 = Instant::now();
-        let mut mg = Machine::new(Scheme::ghost_minion(), cfg, w.programs);
+        let mut mg = Machine::new(Scheme::ghost_minion(), cfg, w.programs.clone());
         let rg = mg.run(50_000_000);
         let dtg = t1.elapsed();
         println!(

@@ -19,7 +19,7 @@ use crate::runner::{CacheStats, JobFailure, Runner, Shard, Supervision};
 use crate::telemetry::{self, Telemetry};
 use gm_results::{RemoteStore, ResultStore};
 use gm_stats::Json;
-use gm_workloads::{Scale, WorkloadSet};
+use gm_workloads::{Scale, UnitCache, WorkloadSet};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -1372,42 +1372,54 @@ static STORE: Command = Command {
     run: store_main,
 };
 
-/// Every fingerprint `experiment` can currently produce, across all
-/// scales, mapped to the (workload, scheme label) job producing it — the
-/// live set a store garbage collection keeps, and the identity `--verify`
-/// cross-checks records against. `None` when the name is not a
-/// registered sweep experiment (its records are all stale by
-/// definition).
-fn registry_identities(
-    experiment: &str,
-) -> Option<std::collections::HashMap<String, (String, String)>> {
-    let exp = experiment::find(experiment)?;
-    let ExperimentKind::Sweep(sweep) = &exp.kind else {
-        return None; // non-sweep experiments write no records
-    };
-    let mut map = std::collections::HashMap::new();
+/// What the registry says one stored experiment's records must be: every
+/// fingerprint it can currently produce, across all scales, mapped to
+/// the (workload, scheme label) job producing it — the live set a store
+/// garbage collection keeps, and the identity `--verify` cross-checks
+/// records against. `None` when the name is not a registered sweep
+/// experiment (its records are all stale by definition).
+type Identities = Option<std::collections::HashMap<String, (String, String)>>;
+
+/// The [`Identities`] of each of `experiments`, in order. One
+/// [`UnitCache`] per scale: each unit is built and hashed once, however
+/// many experiments sweep it.
+fn registry_identities(experiments: &[String]) -> Vec<Identities> {
+    let mut sweeps: Vec<_> = experiments
+        .iter()
+        .map(|name| match experiment::find(name)?.kind {
+            ExperimentKind::Sweep(sweep) => Some((sweep, std::collections::HashMap::new())),
+            _ => None, // non-sweep experiments write no records
+        })
+        .collect();
     for scale in [Scale::Test, Scale::Bench, Scale::Full] {
-        let ws = sweep.workload_set(scale);
-        for unit in &ws.units {
-            for col in &sweep.schemes {
-                map.insert(
-                    gm_results::job_fingerprint(unit, &col.scheme, scale, &sweep.config),
-                    (unit.name.to_owned(), col.label.clone()),
-                );
+        let mut units = UnitCache::default();
+        for (sweep, map) in sweeps.iter_mut().flatten() {
+            for unit in &sweep.workload_set_from(&mut units, scale).units {
+                for col in &sweep.schemes {
+                    map.insert(
+                        gm_results::job_fingerprint(unit, &col.scheme, scale, &sweep.config),
+                        (unit.name.to_owned(), col.label.clone()),
+                    );
+                }
             }
         }
     }
-    Some(map)
+    sweeps.into_iter().map(|s| Some(s?.1)).collect()
 }
 
 /// The deep-integrity pass behind `gm-run store --verify`. Returns the
 /// number of findings; reporting goes to stderr (there is no stdout
 /// contract to protect here, but the policy is uniform).
-fn verify_store(program: &str, store: &ResultStore, experiments: &[String]) -> usize {
+fn verify_store(
+    program: &str,
+    store: &ResultStore,
+    experiments: &[String],
+    identities: &[Identities],
+) -> usize {
     use gm_results::{parse_store_line, validate_record, StoreLine};
     let mut findings = 0usize;
     let (mut records, mut checksummed, mut legacy) = (0usize, 0usize, 0usize);
-    for name in experiments {
+    for (name, identities) in experiments.iter().zip(identities) {
         let path = store.path(name);
         let text = match std::fs::read_to_string(&path) {
             Ok(text) => text,
@@ -1417,7 +1429,6 @@ fn verify_store(program: &str, store: &ResultStore, experiments: &[String]) -> u
                 continue;
             }
         };
-        let identities = registry_identities(name);
         if identities.is_none() {
             eprintln!(
                 "{program}: verify: {name}: not a registered sweep experiment \
@@ -1451,7 +1462,7 @@ fn verify_store(program: &str, store: &ResultStore, experiments: &[String]) -> u
                         finding(&e);
                         findings += 1;
                     }
-                    let Some(ids) = &identities else { continue };
+                    let Some(ids) = identities else { continue };
                     match ids.get(&fingerprint) {
                         None => {
                             finding(&format!(
@@ -1589,11 +1600,16 @@ fn store_main(a: Args) {
             compact_one(program, &store, name);
         }
     }
+    // --gc and --verify check against the same registry: build it once.
+    let identities = if gc || verify {
+        registry_identities(&experiments)
+    } else {
+        Vec::new()
+    };
     if gc {
         let (mut total_dropped, mut total_bytes) = (0u64, 0u64);
-        for name in &experiments {
-            let live = registry_identities(name);
-            let result = match &live {
+        for (name, live) in experiments.iter().zip(&identities) {
+            let result = match live {
                 Some(map) => store.gc(name, &|fp| map.contains_key(fp)),
                 // Unknown experiment: nothing in the registry produces
                 // its records, so the whole file is stale.
@@ -1653,7 +1669,7 @@ fn store_main(a: Args) {
     if verify {
         // Verify runs after --compact/--gc so it checks what is left on
         // disk, not what those passes were about to rewrite.
-        let findings = verify_store(program, &store, &experiments);
+        let findings = verify_store(program, &store, &experiments, &identities);
         if findings > 0 {
             fail(
                 program,

@@ -2,7 +2,7 @@
 //! figure and table, plus the registry `gm-run` selects from.
 
 use ghostminion::{GhostMinionConfig, Scheme, SystemConfig};
-use gm_workloads::{Scale, Suite, WorkloadSet};
+use gm_workloads::{Scale, Suite, UnitCache, WorkloadSet};
 
 /// One column of a sweep: a scheme and the label it carries in the
 /// figure (usually the scheme name, but e.g. Fig. 11 labels columns by
@@ -66,10 +66,13 @@ impl Sweep {
     /// Materialises the workload axis at `scale`, building only the
     /// units the sweep lists.
     pub fn workload_set(&self, scale: Scale) -> WorkloadSet {
-        match &self.workloads {
-            None => WorkloadSet::new(self.suite, scale),
-            Some(names) => WorkloadSet::named(self.suite, scale, names),
-        }
+        self.workload_set_from(&mut UnitCache::default(), scale)
+    }
+
+    /// The workload axis at `scale`, taken from `units`: only the listed
+    /// units the cache lacks are built.
+    pub fn workload_set_from(&self, units: &mut UnitCache, scale: Scale) -> WorkloadSet {
+        units.workload_set(self.suite, scale, &self.unit_names())
     }
 
     /// The workload axis's names in suite order, without building it.

@@ -34,7 +34,7 @@ use ghostminion::{MachineResult, Scheme, SystemConfig};
 use gm_results::{
     job_fingerprint, job_record, record_wall_us, result_from_record, RemoteStore, ResultStore,
 };
-use gm_workloads::{Scale, WorkloadSet, WorkloadUnit};
+use gm_workloads::{Scale, UnitCache, WorkloadSet, WorkloadUnit};
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -299,6 +299,10 @@ pub struct Runner {
     /// Optional result-service client consulted between the local store
     /// and simulation (see [`Runner::with_remote`]).
     remote: Option<Arc<RemoteStore>>,
+    /// Units built by this runner's sweeps, shared with its clones: each
+    /// unit a run names is built and hashed once, however many sweeps
+    /// name it. Per runner, never global, so a new run builds afresh.
+    units: Arc<Mutex<UnitCache>>,
 }
 
 impl Runner {
@@ -315,6 +319,7 @@ impl Runner {
             supervision: Supervision::default(),
             faults: FaultPlan::none(),
             remote: None,
+            units: Arc::default(),
         }
     }
 
@@ -416,7 +421,7 @@ impl Runner {
     fn attempt_job(
         &self,
         scheme: Scheme,
-        unit: &WorkloadUnit,
+        unit: &Arc<WorkloadUnit>,
         cfg: SystemConfig,
         fault: Option<FaultKind>,
     ) -> Attempt {
@@ -442,7 +447,7 @@ impl Runner {
                 Err(payload) => Attempt::Panicked(panic_message(payload)),
             },
             Some(limit) => {
-                let unit = unit.clone();
+                let unit = Arc::clone(unit);
                 let (tx, rx) = mpsc::channel();
                 let spawned = std::thread::Builder::new()
                     .name("gm-job".into())
@@ -472,7 +477,7 @@ impl Runner {
     fn run_supervised(
         &self,
         experiment: &str,
-        unit: &WorkloadUnit,
+        unit: &Arc<WorkloadUnit>,
         scheme: Scheme,
         label: &str,
         cfg: SystemConfig,
@@ -561,7 +566,7 @@ impl Runner {
         shard: Shard,
         telemetry: Option<&Telemetry>,
     ) -> Result<SweepRun, String> {
-        let set = sweep.workload_set(scale);
+        let set = sweep.workload_set_from(&mut self.units.lock().expect("units poisoned"), scale);
         let nschemes = sweep.schemes.len();
         let all: Vec<(usize, usize)> = (0..set.units.len())
             .flat_map(|u| (0..nschemes).map(move |s| (u, s)))
@@ -1146,5 +1151,106 @@ mod tests {
     fn full_shard_owns_everything_regardless_of_costs() {
         let costs = random_costs(3, 9);
         assert_eq!(Shard::full().partition(&costs), vec![true; 9]);
+    }
+
+    /// Fig. 6's sweep cut down to its first `columns` scheme columns over
+    /// `workloads`.
+    fn fig6(workloads: Option<Vec<&'static str>>, columns: usize) -> Sweep {
+        let exp = crate::experiment::find("fig6").expect("fig6 is registered");
+        let crate::experiment::ExperimentKind::Sweep(mut sweep) = exp.kind else {
+            panic!("fig6 is a sweep");
+        };
+        sweep.workloads = workloads;
+        sweep.schemes.truncate(columns);
+        *sweep
+    }
+
+    fn fingerprints(run: &SweepRun) -> Vec<String> {
+        let jobs = run
+            .rows
+            .iter()
+            .flatten()
+            .map(|j| j.as_ref().expect("owned"));
+        jobs.map(|j| j.fingerprint.clone()).collect()
+    }
+
+    #[test]
+    fn sweeps_of_one_run_share_built_and_hashed_units() {
+        let sweep = fig6(Some(vec!["gamess", "hmmer"]), 1);
+        let runner = Runner::new(1);
+        let first = runner.run_sweep(&sweep, Scale::Test);
+        assert!(
+            first
+                .set
+                .units
+                .iter()
+                .all(|u| u.program_shas.get().is_some()),
+            "the first sweep hashes its units"
+        );
+        // A clone is the same run: its sweep reuses the hashed units.
+        let second = runner.clone().run_sweep(&sweep, Scale::Test);
+        for (a, b) in first.set.units.iter().zip(&second.set.units) {
+            assert!(Arc::ptr_eq(a, b), "{} was built again", a.name);
+        }
+        // A new runner is a new run: it builds its own.
+        let fresh = Runner::new(1).run_sweep(&sweep, Scale::Test);
+        for (a, b) in first.set.units.iter().zip(&fresh.set.units) {
+            assert!(!Arc::ptr_eq(a, b), "{} leaked across runs", a.name);
+            assert!(a.programs == b.programs);
+        }
+    }
+
+    #[test]
+    fn subset_then_full_sweep_keeps_suite_order_and_fingerprints() {
+        // Shard 64/64 owns none of these jobs (at most 25): the sweeps
+        // build their sets and simulate nothing.
+        let idle = Shard::new(64, 64).expect("valid shard");
+        let runner = Runner::new(1);
+        let subset = fig6(Some(vec!["mcf", "gamess"]), 1);
+        let full = fig6(None, 1);
+        let run = |sweep: &Sweep| {
+            let run = runner.run_sweep_shard(sweep, Scale::Test, "", None, idle, None);
+            run.expect("storeless runs cannot fail").set
+        };
+        let (part, all) = (run(&subset), run(&full));
+        let names = |set: &WorkloadSet| set.units.iter().map(|u| u.name).collect::<Vec<_>>();
+        assert_eq!(names(&part), ["gamess", "mcf"]);
+        assert_eq!(names(&all), full.suite.unit_names().collect::<Vec<_>>());
+        for unit in &part.units {
+            assert!(all.units.iter().any(|u| Arc::ptr_eq(u, unit)));
+        }
+        let (scheme, cfg) = (&full.schemes[0].scheme, &full.config);
+        for unit in &all.units {
+            let alone = WorkloadSet::named(full.suite, Scale::Test, &[unit.name]);
+            assert_eq!(
+                job_fingerprint(unit, scheme, Scale::Test, cfg),
+                job_fingerprint(&alone.units[0], scheme, Scale::Test, cfg),
+                "{}",
+                unit.name
+            );
+        }
+    }
+
+    #[test]
+    fn workers_hashing_one_shared_unit_agree_with_one_worker() {
+        let sweep = fig6(Some(vec!["gamess"]), 2);
+        let serial =
+            Runner::new(1).run_sweep_shard(&sweep, Scale::Test, "", None, Shard::full(), None);
+        let serial = fingerprints(&serial.expect("storeless runs cannot fail"));
+        let runner = Runner::new(2);
+        let set =
+            sweep.workload_set_from(&mut runner.units.lock().expect("unpoisoned"), Scale::Test);
+        assert!(set.units[0].program_shas.get().is_none());
+        // Both workers reach the unit's empty memo together.
+        let barrier = std::sync::Barrier::new(2);
+        let raced = runner.map(&sweep.schemes, |col| {
+            barrier.wait();
+            job_fingerprint(&set.units[0], &col.scheme, Scale::Test, &sweep.config)
+        });
+        assert_eq!(raced, serial);
+        let run = runner.run_sweep_shard(&sweep, Scale::Test, "", None, Shard::full(), None);
+        let run = run.expect("storeless runs cannot fail");
+        assert!(Arc::ptr_eq(&run.set.units[0], &set.units[0]));
+        assert_eq!(fingerprints(&run), serial);
     }
 }

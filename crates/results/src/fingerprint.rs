@@ -76,9 +76,9 @@ pub fn job_descriptor(
         .set(
             "programs",
             // The per-unit memo: programs are immutable after a unit is
-            // built (clones reset the slot), and one unit is
-            // fingerprinted once per scheme column, so the multi-MiB
-            // image hash is computed once, not once per job.
+            // built, and one shared unit is fingerprinted once per
+            // scheme column of every sweep in a run that names it, so
+            // the multi-MiB image hash is computed once per run.
             Json::Array(
                 unit.program_shas
                     .get_or_init(|| unit.programs.iter().map(program_sha).collect())
@@ -171,9 +171,11 @@ mod tests {
         }
     }
 
+    /// A freshly built unit that this test owns outright, so it can edit
+    /// the programs before the first fingerprint fills the memo.
     fn unit_at_scale(name: &str, scale: Scale) -> WorkloadUnit {
         let mut set = WorkloadSet::named(Suite::Spec2006, scale, &[name]);
-        set.units.remove(0)
+        std::sync::Arc::into_inner(set.units.remove(0)).expect("a fresh set owns its units")
     }
 
     #[test]
@@ -181,13 +183,13 @@ mod tests {
         let u = unit("gamess");
         let cfg = SystemConfig::micro2021();
         let base = job_fingerprint(&u, &Scheme::ghost_minion(), Scale::Test, &cfg);
-        let mut tampered = u.clone();
+        let mut tampered = unit("gamess");
         tampered.programs[0].insts.pop();
         let fp = job_fingerprint(&tampered, &Scheme::ghost_minion(), Scale::Test, &cfg);
         assert_ne!(base, fp, "editing the program must miss the cache");
 
         // Renaming the program (not the unit) changes nothing simulated.
-        let mut renamed = u.clone();
+        let mut renamed = unit("gamess");
         renamed.programs[0].name = "other".to_owned();
         assert_eq!(
             base,

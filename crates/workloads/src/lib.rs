@@ -25,8 +25,8 @@
 //! Each suite is one static table of analogs in figure order: a name, an
 //! RNG seed and a body that emits one thread's kernels. One builder turns
 //! a table entry into a [`WorkloadUnit`], so [`Suite::unit_names`] reads
-//! names without assembling anything and [`WorkloadSet::named`] assembles
-//! only the units it is asked for.
+//! names without assembling anything and [`UnitCache::workload_set`]
+//! assembles only the units it is asked for and does not already hold.
 //!
 //! Every program is deterministic (fixed seeds), self-contained
 //! (data segments included) and terminates with `halt`.
@@ -39,9 +39,12 @@ mod spec2017;
 use gm_isa::{Asm, Program};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::HashMap;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// How big a run should be; chosen per harness.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Scale {
     /// Tiny runs for unit tests (~5–20k dynamic instructions).
     Test,
@@ -83,7 +86,7 @@ impl Scale {
 }
 
 /// The benchmark suites the paper evaluates on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Suite {
     /// SPEC CPU2006 analogs (Figures 6, 9, 10, 11, power, §4.9).
     Spec2006,
@@ -145,7 +148,7 @@ struct Table {
 
 impl Table {
     /// The one place an analog becomes programs.
-    fn build(&self, analog: &Analog, scale: Scale) -> WorkloadUnit {
+    fn build(&self, analog: &Analog, scale: Scale) -> Arc<WorkloadUnit> {
         let programs = (0..self.threads)
             .map(|tid| {
                 let mut a = Asm::new(if self.threads == 1 {
@@ -159,11 +162,11 @@ impl Table {
                 a.assemble()
             })
             .collect();
-        WorkloadUnit {
+        Arc::new(WorkloadUnit {
             name: analog.name,
             programs,
-            program_shas: std::sync::OnceLock::new(),
-        }
+            program_shas: OnceLock::new(),
+        })
     }
 }
 
@@ -175,14 +178,13 @@ pub struct WorkloadUnit {
     pub name: &'static str,
     pub programs: Vec<Program>,
     /// Memo slot for this unit's per-program content digests
-    /// (`gm-results` fills it on first fingerprint). One unit is
-    /// fingerprinted once per scheme column — seven and more times per
-    /// sweep — and its programs never change after construction, so
-    /// hashing a multi-MiB image once per *unit* instead of once per
-    /// *job* is pure saving. The manual [`Clone`] below resets the slot:
-    /// a clone's programs can be edited freely (tests do) and its first
-    /// fingerprint recomputes from its own content.
-    pub program_shas: std::sync::OnceLock<Vec<String>>,
+    /// (`gm-results` fills it on first fingerprint). A built unit is
+    /// shared behind an [`Arc`] by every sweep of a run that names it
+    /// (see [`UnitCache`]), and its programs never change after
+    /// construction, so a multi-MiB image is hashed once per *run*
+    /// instead of once per *job*. A unit with edited programs must be
+    /// built afresh, with an empty slot; nothing copies a filled one.
+    pub program_shas: OnceLock<Vec<String>>,
 }
 
 impl WorkloadUnit {
@@ -192,25 +194,12 @@ impl WorkloadUnit {
     }
 }
 
-impl Clone for WorkloadUnit {
-    fn clone(&self) -> Self {
-        Self {
-            name: self.name,
-            programs: self.programs.clone(),
-            // Deliberately NOT cloned: stale digests on a subsequently
-            // mutated clone would silently alias two different jobs in
-            // the result store.
-            program_shas: std::sync::OnceLock::new(),
-        }
-    }
-}
-
 /// A suite of [`WorkloadUnit`]s at one scale — the workload axis of an
 /// experiment sweep.
 #[derive(Clone, Debug)]
 pub struct WorkloadSet {
     pub suite: Suite,
-    pub units: Vec<WorkloadUnit>,
+    pub units: Vec<Arc<WorkloadUnit>>,
 }
 
 impl WorkloadSet {
@@ -222,14 +211,7 @@ impl WorkloadSet {
     /// Builds only the units of `suite` whose names appear in `names`, in
     /// suite order; names the suite lacks are skipped.
     pub fn named(suite: Suite, scale: Scale, names: &[&str]) -> Self {
-        let table = suite.table();
-        let units = table
-            .analogs
-            .iter()
-            .filter(|a| names.contains(&a.name))
-            .map(|a| table.build(a, scale))
-            .collect();
-        Self { suite, units }
+        UnitCache::default().workload_set(suite, scale, names)
     }
 
     /// Number of units in the set.
@@ -240,6 +222,40 @@ impl WorkloadSet {
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
         self.units.is_empty()
+    }
+}
+
+/// Built units keyed by (suite, scale, unit name), so every sweep of one
+/// run that names a unit shares one build of it and one hash of its
+/// images.
+#[derive(Default)]
+pub struct UnitCache {
+    units: HashMap<(Suite, Scale, &'static str), Arc<WorkloadUnit>>,
+}
+
+impl UnitCache {
+    /// The units of `suite` at `scale` whose names appear in `names`, in
+    /// suite order; names the suite lacks are skipped. Builds only the
+    /// units the cache does not hold yet.
+    pub fn workload_set(&mut self, suite: Suite, scale: Scale, names: &[&str]) -> WorkloadSet {
+        let table = suite.table();
+        let units = table
+            .analogs
+            .iter()
+            .filter(|a| names.contains(&a.name))
+            .map(|a| {
+                let unit = self.units.entry((suite, scale, a.name));
+                Arc::clone(unit.or_insert_with(|| table.build(a, scale)))
+            })
+            .collect();
+        WorkloadSet { suite, units }
+    }
+}
+
+/// Prints a count: the held programs are multi-MiB images.
+impl fmt::Debug for UnitCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "UnitCache({} units)", self.units.len())
     }
 }
 

@@ -138,8 +138,8 @@ mod tests {
     use gm_isa::Program;
 
     fn program(name: &str, scale: Scale) -> Program {
-        let mut set = WorkloadSet::named(Suite::Spec2006, scale, &[name]);
-        set.units.remove(0).programs.remove(0)
+        let set = WorkloadSet::named(Suite::Spec2006, scale, &[name]);
+        set.units[0].programs[0].clone()
     }
 
     #[test]

@@ -14,9 +14,9 @@ fn cycles(scheme: Scheme, w: &Program) -> f64 {
 }
 
 fn pick(name: &str) -> Program {
-    let mut set = WorkloadSet::named(Suite::Spec2006, Scale::Test, &[name]);
+    let set = WorkloadSet::named(Suite::Spec2006, Scale::Test, &[name]);
     assert_eq!(set.len(), 1, "{name} analog exists");
-    set.units.remove(0).programs.remove(0)
+    set.units[0].programs[0].clone()
 }
 
 #[test]
