@@ -100,8 +100,8 @@ fn doc_shard(doc: &Json) -> Result<(u64, u64), String> {
     Ok((index, count))
 }
 
-/// Validates the shard set and merges it. `runner` re-executes the
-/// non-sweep experiments.
+/// Validates the shard set and merges it. `runner` supplies the
+/// sweeps' workload units and re-executes the non-sweep experiments.
 pub fn merge_docs(docs: &[Json], runner: &Runner) -> Result<Merged, String> {
     if docs.is_empty() {
         return Err("no shard documents to merge".into());
@@ -191,8 +191,8 @@ pub fn merge_docs(docs: &[Json], runner: &Runner) -> Result<Merged, String> {
         let g = &gathered[&name];
         match &exp.kind {
             ExperimentKind::Sweep(sweep) => {
-                let run =
-                    reassemble_sweep(&name, sweep, scale, g.workloads.as_deref(), &g.records)?;
+                let workloads = g.workloads.as_deref();
+                let run = reassemble_sweep(runner, &name, sweep, scale, workloads, &g.records)?;
                 let results = run.to_results();
                 let (preamble, table, postamble) = render_sweep(sweep, &results);
                 let out = ExperimentOutput {
@@ -224,8 +224,10 @@ pub fn merge_docs(docs: &[Json], runner: &Runner) -> Result<Merged, String> {
 /// Rebuilds the full job grid of one sweep from merged records,
 /// verifying coverage (no job missing), disjointness (no job twice),
 /// and integrity (every record matches its freshly computed
-/// fingerprint).
+/// fingerprint). The units come from `runner`, so experiments sharing
+/// a unit build it once.
 fn reassemble_sweep(
+    runner: &Runner,
     name: &str,
     sweep: &Sweep,
     scale: Scale,
@@ -246,7 +248,7 @@ fn reassemble_sweep(
         }
         sweep.workloads = Some(statics);
     }
-    let set = sweep.workload_set(scale);
+    let set = runner.workload_set(&sweep, scale);
 
     let mut by_key: HashMap<(String, String), &Json> = HashMap::new();
     for record in records {
@@ -384,5 +386,42 @@ mod tests {
         // A known name passes the axis check and fails on coverage.
         let err = merge_docs(&[doc(&["canneal"])], &runner).unwrap_err();
         assert!(err.contains("(canneal, Unsafe) missing"), "{err}");
+    }
+
+    #[test]
+    fn merging_two_spec2006_experiments_builds_each_unit_once() {
+        let merger = Runner::new(1);
+        let gamess = ["gamess".to_owned()];
+        let sets: Vec<_> = ["fig10", "power"]
+            .into_iter()
+            .map(|name| {
+                let Some(Experiment {
+                    kind: ExperimentKind::Sweep(sweep),
+                    ..
+                }) = experiment::find(name)
+                else {
+                    panic!("{name} is a sweep");
+                };
+                let mut one = (*sweep).clone();
+                one.workloads = Some(vec!["gamess"]);
+                let run = Runner::new(1).run_sweep_shard(
+                    &one,
+                    Scale::Test,
+                    name,
+                    None,
+                    Shard::full(),
+                    None,
+                );
+                let records = sweep_results_json(&one, &run.expect("storeless runs cannot fail"));
+                let records = records.as_array().expect("records array");
+                reassemble_sweep(&merger, name, &sweep, Scale::Test, Some(&gamess), records)
+                    .expect("complete shard set")
+                    .set
+            })
+            .collect();
+        assert!(
+            std::sync::Arc::ptr_eq(&sets[0].units[0], &sets[1].units[0]),
+            "the second experiment built gamess again"
+        );
     }
 }

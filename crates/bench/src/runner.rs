@@ -354,6 +354,12 @@ impl Runner {
         self
     }
 
+    /// `sweep`'s workload axis at `scale`, from this run's built units:
+    /// only units no earlier sweep of the run named are built.
+    pub(crate) fn workload_set(&self, sweep: &Sweep, scale: Scale) -> WorkloadSet {
+        sweep.workload_set_from(&mut self.units.lock().expect("units poisoned"), scale)
+    }
+
     /// The active supervision policy.
     pub fn supervision(&self) -> Supervision {
         self.supervision
@@ -566,7 +572,7 @@ impl Runner {
         shard: Shard,
         telemetry: Option<&Telemetry>,
     ) -> Result<SweepRun, String> {
-        let set = sweep.workload_set_from(&mut self.units.lock().expect("units poisoned"), scale);
+        let set = self.workload_set(sweep, scale);
         let nschemes = sweep.schemes.len();
         let all: Vec<(usize, usize)> = (0..set.units.len())
             .flat_map(|u| (0..nschemes).map(move |s| (u, s)))

@@ -2,6 +2,7 @@
 
 use crate::{Inst, Reg};
 use std::fmt;
+use std::iter;
 use std::sync::Arc;
 
 /// A contiguous block of initial memory contents.
@@ -23,16 +24,29 @@ pub struct DataSegment {
 }
 
 impl DataSegment {
-    /// A segment of `count` little-endian u64 words starting at `base`.
+    /// A segment of `words.len()` little-endian u64 words starting at
+    /// `base`.
     pub fn words(base: u64, words: &[u64]) -> Self {
-        let mut bytes = Vec::with_capacity(words.len() * 8);
-        for w in words {
-            bytes.extend_from_slice(&w.to_le_bytes());
+        Self::from_fn(base, words.len(), |i| words[i])
+    }
+
+    /// A segment of `count` little-endian u64 words starting at `base`,
+    /// word `i` being `word(i)`: called once per index, in ascending
+    /// order, so generators may draw from an RNG.
+    pub fn from_fn(base: u64, count: usize, mut word: impl FnMut(usize) -> u64) -> Self {
+        Self::sparse(base, count, (0..count).map(|i| (i, word(i))))
+    }
+
+    /// A zero segment of `count` u64 words at `base` with each listed
+    /// `(index, value)` word set, in iteration order. The image is
+    /// allocated once and written in place.
+    pub fn sparse(base: u64, count: usize, words: impl IntoIterator<Item = (usize, u64)>) -> Self {
+        let mut bytes: Arc<[u8]> = iter::repeat(0).take(count * 8).collect();
+        let buf = Arc::get_mut(&mut bytes).expect("a fresh image is unshared");
+        for (i, w) in words {
+            buf[i * 8..i * 8 + 8].copy_from_slice(&w.to_le_bytes());
         }
-        Self {
-            base,
-            bytes: bytes.into(),
-        }
+        Self { base, bytes }
     }
 
     /// Exclusive end address of the segment.
@@ -117,6 +131,51 @@ mod tests {
         assert_eq!(seg.bytes[0], 0x08);
         assert_eq!(seg.bytes[7], 0x01);
         assert_eq!(seg.end(), 0x108);
+    }
+
+    #[test]
+    fn from_fn_matches_words() {
+        let words = [7, u64::MAX, 0, 0x0102_0304_0506_0708];
+        let seg = DataSegment::from_fn(0x40, words.len(), |i| words[i]);
+        assert_eq!(seg, DataSegment::words(0x40, &words));
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        assert_eq!(*seg.bytes, *bytes);
+    }
+
+    #[test]
+    fn from_fn_calls_word_once_per_index_in_order() {
+        let mut calls = Vec::new();
+        let seg = DataSegment::from_fn(0, 5, |i| {
+            calls.push(i);
+            i as u64 * 10
+        });
+        assert_eq!(calls, [0, 1, 2, 3, 4]);
+        assert_eq!(seg, DataSegment::words(0, &[0, 10, 20, 30, 40]));
+    }
+
+    #[test]
+    fn sparse_words_land_at_their_offsets_over_zeros() {
+        let seg = DataSegment::sparse(0x1000, 6, [(4, 0xAB), (1, u64::MAX), (4, 0x0C0D)]);
+        assert_eq!(seg.end(), 0x1000 + 48);
+        // A repeated index keeps its last value: words apply in order.
+        assert_eq!(
+            seg,
+            DataSegment::words(0x1000, &[0, u64::MAX, 0, 0, 0x0C0D, 0])
+        );
+        let nonzero: Vec<usize> = (0..48).filter(|&b| seg.bytes[b] != 0).collect();
+        assert_eq!(nonzero, [8, 9, 10, 11, 12, 13, 14, 15, 32, 33]);
+    }
+
+    #[test]
+    fn zero_length_segments_are_empty() {
+        for seg in [
+            DataSegment::from_fn(0x80, 0, |_| unreachable!("no words to draw")),
+            DataSegment::sparse(0x80, 0, []),
+            DataSegment::words(0x80, &[]),
+        ] {
+            assert!(seg.bytes.is_empty());
+            assert_eq!(seg.end(), 0x80);
+        }
     }
 
     #[test]

@@ -16,14 +16,15 @@ use rand::Rng;
 pub fn linked_ring(a: &mut Asm, rng: &mut StdRng, base: u64, count: u64) {
     let mut order: Vec<u64> = (0..count).collect();
     order.shuffle(rng);
-    let mut words = vec![0u64; (count * 8) as usize];
-    for i in 0..count as usize {
-        let cur = order[i];
-        let next = order[(i + 1) % count as usize];
-        words[(cur * 8) as usize] = base + next * 64;
-        words[(cur * 8 + 1) as usize] = rng.gen_range(0..256);
-    }
-    a.data(DataSegment::words(base, &words));
+    let n = count as usize;
+    let words = (0..n).flat_map(|i| {
+        let (cur, next) = (order[i] as usize, order[(i + 1) % n]);
+        [
+            (cur * 8, base + next * 64),
+            (cur * 8 + 1, rng.gen_range(0..256)),
+        ]
+    });
+    a.data(DataSegment::sparse(base, n * 8, words));
 }
 
 /// Sequential sweep(s) over an array, accumulating into `x3`/`f3`.
@@ -32,10 +33,8 @@ pub fn linked_ring(a: &mut Asm, rng: &mut StdRng, base: u64, count: u64) {
 /// footprint, perfectly strided — prefetcher- and DRAM-bound.
 pub fn stream_sum(a: &mut Asm, base: u64, words: u64, passes: u64, stride_words: u64, fp: bool) {
     assert!(words > 0 && passes > 0 && stride_words > 0);
-    let data: Vec<u64> = (0..words.min(65536))
-        .map(|i| if fp { (i as f64).to_bits() } else { i })
-        .collect();
-    a.data(DataSegment::words(base, &data));
+    let word = |i: usize| if fp { (i as f64).to_bits() } else { i as u64 };
+    a.data(DataSegment::from_fn(base, words.min(65536) as usize, word));
     let (ptr, end, pass, npass, v) = (Reg::x(1), Reg::x(2), Reg::x(4), Reg::x(5), Reg::x(6));
     let acc = if fp { Reg::f(3) } else { Reg::x(3) };
     a.li(pass, 0);
@@ -84,20 +83,14 @@ pub fn pointer_chase(
     // speculates ahead down the chase.
     let arena_bytes = nodes * 64;
     let wcount = nodes.min(65536) as usize;
-    let mut wseg = vec![0u64; wcount * 8];
-    for i in 0..wcount {
-        wseg[i * 8] = rng.gen_range(0..256);
-    }
-    a.data(DataSegment::words(weights_base, &wseg));
+    let weights = (0..wcount).map(|i| (i * 8, rng.gen_range(0..256)));
+    a.data(DataSegment::sparse(weights_base, wcount * 8, weights));
     // Second weight level, dependent on the first: the rare branch's
     // condition resolves only after TWO serialised cold misses, so the
     // front-end speculates ~2 chase hops ahead before it can squash.
     let weights2_base = weights_base + arena_bytes;
-    let mut w2seg = vec![0u64; wcount * 8];
-    for i in 0..wcount {
-        w2seg[i * 8] = rng.gen_range(0..256);
-    }
-    a.data(DataSegment::words(weights2_base, &w2seg));
+    let weights2 = (0..wcount).map(|i| (i * 8, rng.gen_range(0..256)));
+    a.data(DataSegment::sparse(weights2_base, wcount * 8, weights2));
 
     let (node, payload, weight, i, n, acc, thr, tmp) = (
         Reg::x(1),
@@ -161,10 +154,12 @@ pub fn indexed_gather(
     data_words: u64,
     passes: u64,
 ) {
-    let idx: Vec<u64> = (0..n_idx).map(|_| rng.gen_range(0..data_words)).collect();
-    a.data(DataSegment::words(idx_base, &idx));
-    let data: Vec<u64> = (0..data_words.min(65536)).map(|i| i * 3).collect();
-    a.data(DataSegment::words(data_base, &data));
+    let index = |_| rng.gen_range(0..data_words);
+    a.data(DataSegment::from_fn(idx_base, n_idx as usize, index));
+    let data_count = data_words.min(65536) as usize;
+    a.data(DataSegment::from_fn(data_base, data_count, |i| {
+        3 * i as u64
+    }));
 
     let (ip, iend, di, v, acc, pass, npass) = (
         Reg::x(1),
@@ -196,8 +191,7 @@ pub fn indexed_gather(
 /// data-dependent branches per element (gobmk/sjeng character: game-tree
 /// evaluation with hard-to-predict control flow).
 pub fn branchy(a: &mut Asm, rng: &mut StdRng, base: u64, words: u64, passes: u64) {
-    let data: Vec<u64> = (0..words).map(|_| rng.gen()).collect();
-    a.data(DataSegment::words(base, &data));
+    a.data(DataSegment::from_fn(base, words as usize, |_| rng.gen()));
     let (ptr, end, v, acc, b, pass, npass) = (
         Reg::x(1),
         Reg::x(2),
@@ -285,10 +279,8 @@ pub fn fp_compute(a: &mut Asm, iters: u64, div_every: u64) {
 pub fn stencil(a: &mut Asm, base: u64, cols: u64, rows: u64, passes: u64) {
     assert!(rows >= 3 && cols >= 3);
     let words = rows * cols;
-    let data: Vec<u64> = (0..words.min(65536))
-        .map(|i| ((i % 97) as f64).to_bits())
-        .collect();
-    a.data(DataSegment::words(base, &data));
+    let word = |i: usize| ((i % 97) as f64).to_bits();
+    a.data(DataSegment::from_fn(base, words.min(65536) as usize, word));
     let (ptr, end, pass, npass) = (Reg::x(1), Reg::x(2), Reg::x(6), Reg::x(7));
     let (up, dn, lf, rt, c) = (Reg::f(1), Reg::f(2), Reg::f(3), Reg::f(4), Reg::f(5));
     let row_bytes = (cols * 8) as i64;
@@ -317,8 +309,8 @@ pub fn stencil(a: &mut Asm, base: u64, cols: u64, rows: u64, passes: u64) {
 /// Dynamic-programming inner loop (hmmer/h264ref character): sequential
 /// loads with short dependent ALU chains and very good locality.
 pub fn dp_inner(a: &mut Asm, base: u64, words: u64, passes: u64) {
-    let data: Vec<u64> = (0..words).map(|i| (i * 7 + 13) & 0xffff).collect();
-    a.data(DataSegment::words(base, &data));
+    let word = |i: usize| (i as u64 * 7 + 13) & 0xffff;
+    a.data(DataSegment::from_fn(base, words as usize, word));
     let (ptr, end, v, m, acc, pass, npass, t) = (
         Reg::x(1),
         Reg::x(2),

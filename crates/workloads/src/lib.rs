@@ -43,15 +43,17 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-/// How big a run should be; chosen per harness.
+/// How big a run should be; chosen per harness. Only iteration counts
+/// scale: images are the same size at every scale. Ranges are committed
+/// instructions per unit under the unsafe baseline, over all suites.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Scale {
-    /// Tiny runs for unit tests (~5–20k dynamic instructions).
+    /// Unit tests and the goldens: 10k (nab) to 791k (GemsFDTD).
     Test,
-    /// Medium runs for figure regeneration (~100–300k dynamic
-    /// instructions) — big enough for caches and predictors to warm.
+    /// Figure regeneration, long enough for caches and predictors to
+    /// warm: 75k (SPECspeed 2017 gcc) to 5.4M (GemsFDTD).
     Bench,
-    /// Long runs for confirmation sweeps.
+    /// Confirmation sweeps: 346k (SPECspeed 2017 gcc) to 24M (GemsFDTD).
     Full,
 }
 
