@@ -344,6 +344,27 @@ mod tests {
     }
 
     #[test]
+    fn load_fraction_reports_name_real_counters() {
+        let mut checked = 0;
+        for e in registry() {
+            let ExperimentKind::Sweep(s) = &e.kind else {
+                continue;
+            };
+            if let Report::LoadFractions { denom, events } = s.report {
+                for name in std::iter::once(&denom).chain(events) {
+                    assert!(
+                        ghostminion::MemStats::NAMES.contains(name),
+                        "{}: {name:?} is not a memory-system counter",
+                        e.name
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert_eq!(checked, 4, "fig10 reads loads and three event counters");
+    }
+
+    #[test]
     fn fig11_columns_cover_all_sizes_plus_async() {
         let e = find("fig11").unwrap();
         let ExperimentKind::Sweep(s) = e.kind else {

@@ -1,5 +1,4 @@
-//! The experiment harness behind the `gm-run` driver and the Criterion
-//! benches.
+//! The experiment harness behind the `gm-run` driver.
 //!
 //! The subsystem is layered:
 //!

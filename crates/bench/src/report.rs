@@ -188,17 +188,23 @@ fn normalized_table(sweep: &Sweep, res: &SweepResults) -> Table {
     table
 }
 
-/// Figure 10: each event counter as a fraction of `denom`.
+/// Figure 10: each event counter as a fraction of `denom`. The names
+/// are the column headers, so the counters are read by name.
 fn fractions_table(res: &SweepResults, denom: &str, events: &[&str]) -> Table {
     let mut header = vec!["workload".to_owned()];
     header.extend(events.iter().map(|e| (*e).to_owned()));
     let mut table = Table::new(header);
     for (unit, row_results) in res.set.units.iter().zip(&res.rows) {
-        let r = &row_results[0];
-        let total = r.mem_stats.get(denom).max(1) as f64;
+        let stats = &row_results[0].mem_stats;
+        let count = |name: &str| {
+            stats
+                .get(name)
+                .unwrap_or_else(|| panic!("{name:?} is not a memory-system counter"))
+        };
+        let total = count(denom).max(1) as f64;
         let mut cells = vec![unit.name.to_owned()];
         for e in events {
-            cells.push(format!("{:.5}", r.mem_stats.get(e) as f64 / total));
+            cells.push(format!("{:.5}", count(e) as f64 / total));
         }
         table.row(cells);
     }
@@ -229,14 +235,14 @@ fn power_tables(sweep: &Sweep, res: &SweepResults) -> (Vec<String>, Table, Vec<S
         let r = &row_results[0];
         let d = dynamic_uw(
             &minion,
-            r.mem_stats.get("energy_minion_reads"),
-            r.mem_stats.get("energy_minion_writes"),
+            r.mem_stats.energy_minion_reads,
+            r.mem_stats.energy_minion_writes,
             r.cycles,
         );
         let i = dynamic_uw(
             &minion,
-            r.mem_stats.get("energy_iminion_reads"),
-            r.mem_stats.get("energy_iminion_writes"),
+            r.mem_stats.energy_iminion_reads,
+            r.mem_stats.energy_iminion_writes,
             r.cycles,
         );
         max_d = max_d.max(d);

@@ -303,7 +303,7 @@ impl SystemConfig {
 /// fields carry enough metadata — scheme, core count, per-core and
 /// memory-system counters — to serialise a run as JSON without holding
 /// onto the `Machine`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MachineResult {
     /// Cycles until every core halted.
     pub cycles: u64,
@@ -535,7 +535,7 @@ impl Machine {
         MachineResult {
             cycles: self.cycle,
             core_stats: self.cores.iter().map(|c| *c.stats()).collect(),
-            mem_stats: self.mem.stats().clone(),
+            mem_stats: *self.mem.stats(),
             scheme_name: self.mem.scheme().name(),
             threads: self.cores.len(),
         }
@@ -701,7 +701,7 @@ mod tests {
         assert_eq!(r.scheme_name, "GhostMinion");
         assert_eq!(r.threads, 1);
         assert!(r.committed() > 16 * 4);
-        assert!(r.mem_stats.get("loads") > 0);
+        assert!(r.mem_stats.loads > 0);
     }
 
     #[test]

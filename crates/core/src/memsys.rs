@@ -43,7 +43,6 @@ use gm_mem::{
     StridePrefetcher, StridePrefetcherConfig,
 };
 use gm_sim::{LoadResp, MemReq, MemoryBackend, Ticket};
-use gm_stats::Counters;
 
 /// Marks MSHR traffic that has no cancellable owner (stores, prefetches,
 /// commit-time reloads).
@@ -158,47 +157,112 @@ struct PerCore {
     noncoherent: FxHashSet<u64>,
 }
 
-/// Aggregated memory-side statistics (also the Fig. 10 event sources).
-pub type MemStats = Counters;
+/// Declares [`MemStats`] from one name-ordered list of its counters: the
+/// struct, its `NAMES`, the by-name lookups and the nonzero iteration
+/// all come from the same list, so they cannot drift apart.
+macro_rules! mem_stats {
+    ($($(#[$doc:meta])* $name:ident,)+) => {
+        /// Aggregated memory-side event counts (also the Fig. 10 event
+        /// sources). Every event adds exactly one, so a counter is
+        /// nonzero exactly when its event happened.
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct MemStats {
+            $($(#[$doc])* pub $name: u64,)+
+        }
 
-/// Interned ids for every hot counter this file bumps: each name is
-/// resolved once per process (`counter_ids!` caches the id in a
-/// per-call-site `OnceLock`), so recording an event is a flat `Vec`
-/// index instead of a `BTreeMap<String, _>` walk.
-mod id {
-    gm_stats::counter_ids! {
-        async_reloads => "async_reloads",
-        coherence_replays => "coherence_replays",
-        commit_moves => "commit_moves",
-        dram_accesses => "dram_accesses",
-        energy_iminion_reads => "energy_iminion_reads",
-        energy_iminion_writes => "energy_iminion_writes",
-        energy_l1d_reads => "energy_l1d_reads",
-        energy_l1d_writes => "energy_l1d_writes",
-        energy_l1i_reads => "energy_l1i_reads",
-        energy_minion_reads => "energy_minion_reads",
-        energy_minion_writes => "energy_minion_writes",
-        exposures => "exposures",
-        fill_rejects => "fill_rejects",
-        ifetches => "ifetches",
-        iminion_commit_moves => "iminion_commit_moves",
-        iminion_hits => "iminion_hits",
-        l0_hits => "l0_hits",
-        l1d_hits => "l1d_hits",
-        l1i_hits => "l1i_hits",
-        l2_hits => "l2_hits",
-        leapfrogs => "leapfrogs",
-        loads => "loads",
-        lost_at_commit => "lost_at_commit",
-        minion_hits => "minion_hits",
-        mshr_retries => "mshr_retries",
-        noncoherent_forwards => "noncoherent_forwards",
-        prefetch_fills => "prefetch_fills",
-        squashes => "squashes",
-        stores => "stores",
-        timeguards => "timeguards",
-        timeleaps => "timeleaps",
-    }
+        impl MemStats {
+            /// Every counter name, in name order (the field order).
+            pub const NAMES: &'static [&'static str] = &[$(stringify!($name)),+];
+
+            /// The counter called `name`; `None` when no counter has
+            /// that name.
+            pub fn get(&self, name: &str) -> Option<u64> {
+                let mut copy = *self;
+                copy.get_mut(name).copied()
+            }
+
+            /// The counter called `name`, for decoders; `None` when no
+            /// counter has that name.
+            pub fn get_mut(&mut self, name: &str) -> Option<&mut u64> {
+                match name {
+                    $(stringify!($name) => Some(&mut self.$name),)+
+                    _ => None,
+                }
+            }
+
+            /// `(name, value)` of every nonzero counter, in name order.
+            pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$((stringify!($name), self.$name)),+]
+                    .into_iter()
+                    .filter(|&(_, v)| v != 0)
+            }
+        }
+    };
+}
+
+mem_stats! {
+    /// Lines lost before commit that §6.4's asynchronous reload refilled.
+    async_reloads,
+    /// Loads that used a non-coherent copy and replayed at commit (§4.6).
+    coherence_replays,
+    /// Speculative lines moved into the L1D at commit (minion or L0).
+    commit_moves,
+    /// Accesses the L2 sent to DRAM.
+    dram_accesses,
+    /// IMinion reads (§6.5 dynamic power).
+    energy_iminion_reads,
+    /// IMinion fills (§6.5 dynamic power).
+    energy_iminion_writes,
+    /// L1D tag/data reads.
+    energy_l1d_reads,
+    /// L1D fills and store writes.
+    energy_l1d_writes,
+    /// L1I reads.
+    energy_l1i_reads,
+    /// Data-minion reads, at load and at commit (§6.5 dynamic power).
+    energy_minion_reads,
+    /// Data-minion fill attempts (§6.5 dynamic power).
+    energy_minion_writes,
+    /// InvisiSpec lines exposed (filled into L1 and L2) at commit.
+    exposures,
+    /// Data-minion fills the timestamp rule rejected.
+    fill_rejects,
+    /// Instruction fetches.
+    ifetches,
+    /// IMinion lines moved into the L1I at commit.
+    iminion_commit_moves,
+    /// Instruction fetches served by the IMinion.
+    iminion_hits,
+    /// Loads served by MuonTrap's L0.
+    l0_hits,
+    /// Loads served by the L1D.
+    l1d_hits,
+    /// Instruction fetches served by the L1I.
+    l1i_hits,
+    /// Shared-walk L2 hits.
+    l2_hits,
+    /// MSHR entries stolen by an older request (§4.5).
+    leapfrogs,
+    /// Data loads.
+    loads,
+    /// Minion lines rejected or displaced before their load committed.
+    lost_at_commit,
+    /// Loads served by the data minion.
+    minion_hits,
+    /// Loads told to retry because the L1D MSHRs were full.
+    mshr_retries,
+    /// Remote-owned lines forwarded non-coherently (§4.6).
+    noncoherent_forwards,
+    /// Prefetches installed into the L2.
+    prefetch_fills,
+    /// Squashes reported by the cores.
+    squashes,
+    /// Committed stores.
+    stores,
+    /// Minion reads that found a line from a younger instruction (§4.2).
+    timeguards,
+    /// In-flight MSHR entries restarted for an older request (§4.5).
+    timeleaps,
 }
 
 /// Where a scheme's speculative data fills land; the same structure is
@@ -356,7 +420,7 @@ pub struct MemorySystem {
     reservations: Vec<Option<(u64, u64)>>,
     pending_cancels: Vec<(usize, Ticket)>,
     next_ticket: Ticket,
-    stats: Counters,
+    stats: MemStats,
     /// Optional Strictness-Order auditor (enabled by tests/harnesses).
     pub auditor: Option<OrderAuditor>,
 }
@@ -398,7 +462,7 @@ impl MemorySystem {
             reservations: vec![None; n_cores],
             pending_cancels: Vec::new(),
             next_ticket: 0,
-            stats: Counters::new(),
+            stats: MemStats::default(),
             auditor: None,
             cfg,
         }
@@ -495,7 +559,7 @@ impl MemorySystem {
         if orphans == Orphans::Timeleap {
             // Timeleap (§4.5): the entry belongs to a younger (or
             // squashed) instruction, which is cancelled and replays.
-            self.stats.bump(id::timeleaps());
+            self.stats.timeleaps += 1;
             self.cancel_owner(&e);
         }
         Some(self.shared_walk(w).map(|walk| {
@@ -521,7 +585,7 @@ impl MemorySystem {
             return Some(mshrs.next_free_at().unwrap_or(w.now + 1).max(w.now + 1));
         };
         mshrs.steal(tok);
-        self.stats.bump(id::leapfrogs());
+        self.stats.leapfrogs += 1;
         self.cancel_owner(&victim);
         if level == Level::L2 {
             self.audit(w.core, w.ts, victim.ts, FlowKind::ResourceContention);
@@ -546,7 +610,7 @@ impl MemorySystem {
     fn shared_walk(&mut self, w: &Walk) -> Result<u64, u64> {
         let l2_start = w.start + self.cfg.l2.latency;
         if self.l2.access(w.line).is_some() {
-            self.stats.bump(id::l2_hits());
+            self.stats.l2_hits += 1;
             return Ok(l2_start);
         }
         self.l2_mshr.reclaim(w.now);
@@ -557,7 +621,7 @@ impl MemorySystem {
             }
             // Timeleap (§4.5) at this level: restart with a real DRAM
             // access, not a head start.
-            self.stats.bump(id::timeleaps());
+            self.stats.timeleaps += 1;
             self.cancel_owner(&e);
             let fresh = self
                 .dram
@@ -569,7 +633,7 @@ impl MemorySystem {
         if let Some(at) = self.mshr_full(Level::L2, w, w.leapfrog) {
             return Err(at);
         }
-        self.stats.bump(id::dram_accesses());
+        self.stats.dram_accesses += 1;
         let done = self.dram.access(w.line, l2_start, w.speculative);
         self.l2_mshr
             .alloc(w.line, done, w.ts, w.core, w.ticket, w.now)
@@ -587,7 +651,7 @@ impl MemorySystem {
     fn train_prefetcher_for(&mut self, core: usize, pc: u64, addr: u64) {
         for p in self.pf.train(pc ^ ((core as u64) << 48), addr) {
             if self.l2.probe(p).is_none() {
-                self.stats.bump(id::prefetch_fills());
+                self.stats.prefetch_fills += 1;
                 self.l2.fill(p, MesiState::Exclusive, 0);
             }
         }
@@ -614,11 +678,11 @@ impl MemorySystem {
     }
 
     fn fill_minion(&mut self, core: usize, line: u64, ts: u64) -> bool {
-        self.stats.bump(id::energy_minion_writes());
+        self.stats.energy_minion_writes += 1;
         match self.cores[core].dminion.fill(line, ts) {
             MinionFill::Filled => true,
             MinionFill::Rejected => {
-                self.stats.bump(id::fill_rejects());
+                self.stats.fill_rejects += 1;
                 false
             }
         }
@@ -636,7 +700,7 @@ impl MemorySystem {
 
     /// Fills the committed line into L1 and L2.
     fn fill_l1d_committed(&mut self, core: usize, line: u64) {
-        self.stats.bump(id::energy_l1d_writes());
+        self.stats.energy_l1d_writes += 1;
         self.fill_l1d(core, line, MesiState::Exclusive);
         self.l2.fill(line, MesiState::Exclusive, 0);
     }
@@ -648,7 +712,7 @@ impl MemorySystem {
         if !self.cores[core].noncoherent.remove(&line) {
             return now;
         }
-        self.stats.bump(id::coherence_replays());
+        self.stats.coherence_replays += 1;
         if let Some(owner) = self.remote_owner(line, core) {
             self.downgrade_remote(line, owner);
         }
@@ -669,7 +733,7 @@ impl MemoryBackend for MemorySystem {
     /// speculative structure and the L1D, MSHR-full step, coherence,
     /// shared walk and fill. The scheme's `LoadPolicy` makes its choices.
     fn load(&mut self, req: &MemReq) -> LoadResp {
-        self.stats.bump(id::loads());
+        self.stats.loads += 1;
         let ticket = self.fresh_ticket();
         let p = self.policy;
         let (core, line, now, ts) = (req.core, line_addr(req.addr), req.now, req.ts);
@@ -678,10 +742,10 @@ impl MemoryBackend for MemorySystem {
         let serial = p.spec == Spec::L0;
         let lat = self.cfg.l1d.latency + u64::from(serial);
         if !serial {
-            self.stats.bump(id::energy_l1d_reads());
+            self.stats.energy_l1d_reads += 1;
         }
         if p.spec == Spec::Minion {
-            self.stats.bump(id::energy_minion_reads());
+            self.stats.energy_minion_reads += 1;
         }
         let mut w = Walk {
             line,
@@ -715,27 +779,27 @@ impl MemoryBackend for MemorySystem {
                     if stamp != ts {
                         self.audit(core, stamp, ts, FlowKind::CacheLineRead);
                     }
-                    self.stats.bump(id::minion_hits());
+                    self.stats.minion_hits += 1;
                     return done(now + lat, ticket, true);
                 }
-                MinionRead::TimeGuarded => self.stats.bump(id::timeguards()),
+                MinionRead::TimeGuarded => self.stats.timeguards += 1,
                 MinionRead::Miss => {}
             },
             Spec::L0 => {
                 if self.cores[core].l0.access(line).is_some() {
-                    self.stats.bump(id::l0_hits());
+                    self.stats.l0_hits += 1;
                     return done(now + 1, ticket, true);
                 }
-                self.stats.bump(id::energy_l1d_reads());
+                self.stats.energy_l1d_reads += 1;
             }
             Spec::L1L2 | Spec::Nowhere => {}
         }
         if self.cores[core].l1d.access(line).is_some() {
-            self.stats.bump(id::l1d_hits());
+            self.stats.l1d_hits += 1;
             return done(now + lat, ticket, true);
         }
         if let Some(at) = self.mshr_full(Level::L1d, &w, p.leapfrog) {
-            self.stats.bump(id::mshr_retries());
+            self.stats.mshr_retries += 1;
             return LoadResp::Retry { at };
         }
         // Coherence: an unprotected speculative load freely downgrades a
@@ -744,7 +808,7 @@ impl MemoryBackend for MemorySystem {
         // replay at commit.
         if let Some(owner) = self.remote_owner(line, core) {
             if p.forward_remote {
-                self.stats.bump(id::noncoherent_forwards());
+                self.stats.noncoherent_forwards += 1;
                 self.cores[core].noncoherent.insert(line);
             } else {
                 w.start += self.downgrade_remote(line, owner);
@@ -756,7 +820,7 @@ impl MemoryBackend for MemorySystem {
         };
         let filled = match p.spec {
             Spec::L1L2 => {
-                self.stats.bump(id::energy_l1d_writes());
+                self.stats.energy_l1d_writes += 1;
                 self.fill_l1d(core, line, MesiState::Exclusive);
                 true
             }
@@ -784,9 +848,9 @@ impl MemoryBackend for MemorySystem {
             SchemeKind::Unsafe | SchemeKind::Stt { .. } => now,
             SchemeKind::GhostMinion(c) if c.dminion => {
                 let ready = self.replay_noncoherent(req.core, line, now);
-                self.stats.bump(id::energy_minion_reads());
+                self.stats.energy_minion_reads += 1;
                 if self.cores[req.core].dminion.take_for_commit(line, req.ts) {
-                    self.stats.bump(id::commit_moves());
+                    self.stats.commit_moves += 1;
                     self.fill_l1d_committed(req.core, line);
                     if c.prefetch_gate {
                         // §4.7: non-speculative prefetcher training.
@@ -802,14 +866,14 @@ impl MemoryBackend for MemorySystem {
                     if c.prefetch_gate {
                         self.train_prefetcher_for(req.core, req.pc, req.addr);
                     }
-                    self.stats.bump(id::lost_at_commit());
+                    self.stats.lost_at_commit += 1;
                     if c.async_reload {
                         // §6.4: asynchronously reload lines lost before
                         // commit. The reload uses idle memory bandwidth
                         // (it is off every critical path), so it installs
                         // the line without charging demand-visible DRAM
                         // or bus time.
-                        self.stats.bump(id::async_reloads());
+                        self.stats.async_reloads += 1;
                         self.fill_l1d_committed(req.core, line);
                     }
                 }
@@ -821,7 +885,7 @@ impl MemoryBackend for MemorySystem {
                 if self.cores[req.core].l0.probe(line).is_some()
                     && self.cores[req.core].l1d.probe(line).is_none()
                 {
-                    self.stats.bump(id::commit_moves());
+                    self.stats.commit_moves += 1;
                     self.fill_l1d_committed(req.core, line);
                     self.train_prefetcher_for(req.core, req.pc, req.addr);
                 }
@@ -838,7 +902,7 @@ impl MemoryBackend for MemorySystem {
                         now
                     };
                 }
-                self.stats.bump(id::exposures());
+                self.stats.exposures += 1;
                 let t = self.fresh_ticket();
                 let done = self
                     .shared_walk(&Walk::committed(line, now + self.cfg.l1d.latency, now, t))
@@ -858,7 +922,7 @@ impl MemoryBackend for MemorySystem {
     }
 
     fn store_commit(&mut self, req: &MemReq, value: u64) {
-        self.stats.bump(id::stores());
+        self.stats.stores += 1;
         let line = line_addr(req.addr);
         let now = req.now;
         self.mem.write(req.addr, value, req.size);
@@ -875,7 +939,7 @@ impl MemoryBackend for MemorySystem {
             self.cores[i].dminion.invalidate(line);
             self.cores[i].noncoherent.remove(&line);
         }
-        self.stats.bump(id::energy_l1d_writes());
+        self.stats.energy_l1d_writes += 1;
         if self.cores[req.core].l1d.probe(line).is_some() {
             self.cores[req.core].l1d.mark_dirty(line);
             return;
@@ -897,7 +961,7 @@ impl MemoryBackend for MemorySystem {
     /// Fetch misses never count `mshr_retries` and never leapfrog at the
     /// L1I; a restarted orphan does not leapfrog at the L2 either.
     fn ifetch(&mut self, req: &MemReq) -> LoadResp {
-        self.stats.bump(id::ifetches());
+        self.stats.ifetches += 1;
         let ticket = self.fresh_ticket();
         let p = self.policy;
         let (core, line, now) = (req.core, line_addr(req.addr), req.now);
@@ -925,15 +989,15 @@ impl MemoryBackend for MemorySystem {
             };
         }
         if p.iminion {
-            self.stats.bump(id::energy_iminion_reads());
+            self.stats.energy_iminion_reads += 1;
             if let MinionRead::Hit { .. } = self.cores[core].iminion.read(line, req.ts) {
-                self.stats.bump(id::iminion_hits());
+                self.stats.iminion_hits += 1;
                 return done(now + lat, ticket, true);
             }
         }
-        self.stats.bump(id::energy_l1i_reads());
+        self.stats.energy_l1i_reads += 1;
         if self.cores[core].l1i.access(line).is_some() {
-            self.stats.bump(id::l1i_hits());
+            self.stats.l1i_hits += 1;
             return done(now + lat, ticket, true);
         }
         if let Some(at) = self.mshr_full(Level::L1i, &w, false) {
@@ -951,7 +1015,7 @@ impl MemoryBackend for MemorySystem {
             Err(at) => return LoadResp::Retry { at },
         };
         if p.iminion {
-            self.stats.bump(id::energy_iminion_writes());
+            self.stats.energy_iminion_writes += 1;
             self.cores[core].iminion.fill(line, req.ts);
         } else {
             self.cores[core].l1i.fill(line, MesiState::Shared, 0);
@@ -961,14 +1025,14 @@ impl MemoryBackend for MemorySystem {
 
     fn commit_ifetch(&mut self, core: usize, line: u64) {
         if self.policy.iminion && self.cores[core].iminion.take_for_commit(line, u64::MAX) {
-            self.stats.bump(id::iminion_commit_moves());
+            self.stats.iminion_commit_moves += 1;
             self.cores[core].l1i.fill(line, MesiState::Shared, 0);
             self.l2.fill(line, MesiState::Shared, 0);
         }
     }
 
     fn squash(&mut self, core: usize, above_ts: u64, max_ts: u64) {
-        self.stats.bump(id::squashes());
+        self.stats.squashes += 1;
         if let Some(a) = self.auditor.as_mut() {
             a.settle_squash(core, above_ts, max_ts);
         }
@@ -1098,6 +1162,21 @@ mod tests {
     }
 
     #[test]
+    fn mem_stats_names_are_sorted_unique_and_readable() {
+        assert_eq!(MemStats::NAMES.len(), 31);
+        assert!(MemStats::NAMES.windows(2).all(|w| w[0] < w[1]));
+        let mut s = MemStats::default();
+        for (i, name) in MemStats::NAMES.iter().enumerate() {
+            *s.get_mut(name).unwrap() = i as u64;
+        }
+        for (i, name) in MemStats::NAMES.iter().enumerate() {
+            assert_eq!(s.get(name), Some(i as u64));
+        }
+        assert_eq!(s.iter().count(), 30, "the one zero counter is skipped");
+        assert_eq!(s.get("never_a_counter"), None);
+    }
+
+    #[test]
     fn unsafe_load_fills_l1_and_l2() {
         let mut m = unsafe_sys();
         let t1 = done_at(m.load(&req(0, 0x1000, 5, 0)));
@@ -1105,7 +1184,7 @@ mod tests {
         // Second access to the same line hits the L1.
         let t2 = done_at(m.load(&req(0, 0x1008, 6, t1)));
         assert_eq!(t2, t1 + m.cfg.l1d.latency);
-        assert_eq!(m.stats().get("l1d_hits"), 1);
+        assert_eq!(m.stats().l1d_hits, 1);
         assert!(m.l2.probe(0x1000).is_some(), "L2 filled speculatively");
     }
 
@@ -1121,7 +1200,7 @@ mod tests {
         // But the minion holds it: same-or-newer timestamp hits.
         let t2 = done_at(m.load(&req(0, 0x1000, 6, t1)));
         assert_eq!(t2, t1 + m.cfg.l1d.latency);
-        assert_eq!(m.stats().get("minion_hits"), 1);
+        assert_eq!(m.stats().minion_hits, 1);
     }
 
     #[test]
@@ -1132,7 +1211,7 @@ mod tests {
         let r = m.load(&req(0, 0x1000, 5, t1));
         let t2 = done_at(r);
         assert!(t2 > t1 + m.cfg.l1d.latency, "older ts must re-miss");
-        assert_eq!(m.stats().get("timeguards"), 1);
+        assert_eq!(m.stats().timeguards, 1);
     }
 
     #[test]
@@ -1145,7 +1224,7 @@ mod tests {
         assert_eq!(ready, t1, "commit path off the critical path");
         assert!(m.cores[0].l1d.probe(0x1000).is_some(), "promoted to L1");
         assert_eq!(m.cores[0].dminion.resident(), 0, "free-slotted out");
-        assert_eq!(m.stats().get("commit_moves"), 1);
+        assert_eq!(m.stats().commit_moves, 1);
     }
 
     #[test]
@@ -1168,7 +1247,7 @@ mod tests {
         // Older request arrives with both MSHRs busy: leapfrogs ts 60.
         let r = m.load(&req(0, 0x30000, 10, 1));
         assert!(matches!(r, LoadResp::Done { .. }), "leapfrog must succeed");
-        assert_eq!(m.stats().get("leapfrogs"), 1);
+        assert_eq!(m.stats().leapfrogs, 1);
         let cancelled = m.take_cancellations(0);
         assert_eq!(cancelled.len(), 1, "victim load must be cancelled");
     }
@@ -1181,7 +1260,7 @@ mod tests {
         // A *younger* request must not steal; it retries.
         let r = m.load(&req(0, 0x30000, 70, 1));
         assert!(matches!(r, LoadResp::Retry { .. }));
-        assert_eq!(m.stats().get("leapfrogs"), 0);
+        assert_eq!(m.stats().leapfrogs, 0);
     }
 
     #[test]
@@ -1192,7 +1271,7 @@ mod tests {
         let r = m.load(&req(0, 0x40000, 20, 5));
         let t_old = done_at(r);
         // Timeleaps may cascade through multiple cache levels (§4.5).
-        assert!(m.stats().get("timeleaps") >= 1);
+        assert!(m.stats().timeleaps >= 1);
         assert!(
             t_old >= t_young,
             "restart semantics: data cannot arrive earlier than the fill"
@@ -1208,7 +1287,7 @@ mod tests {
         // cancellation, data no earlier than the original fill.
         let r = m.load(&req(0, 0x40000, 20, 5));
         assert_eq!(done_at(r), t_young.max(5 + m.cfg.l1d.latency));
-        assert_eq!(m.stats().get("timeleaps"), 0);
+        assert_eq!(m.stats().timeleaps, 0);
         assert!(m.take_cancellations(0).is_empty());
     }
 
@@ -1240,7 +1319,7 @@ mod tests {
         assert_eq!(e.ts, SQUASHED_TS, "squash orphans the entry");
         let t2 = done_at(m.load(&req(0, 0x4000, 8, 2)));
         assert_eq!(t2, t1.max(2 + m.cfg.l1d.latency), "coalesce timing");
-        assert_eq!(m.stats().get("timeleaps"), 0);
+        assert_eq!(m.stats().timeleaps, 0);
         assert!(m.take_cancellations(0).is_empty());
     }
 
@@ -1248,19 +1327,19 @@ mod tests {
     fn muontrap_l1d_energy_only_on_l0_miss_and_serial_coalesce() {
         let mut m = MemorySystem::new(Scheme::muontrap(), HierarchyConfig::tiny(), 1);
         let t1 = done_at(m.load(&req(0, 0x1000, 5, 0)));
-        assert_eq!(m.stats().get("energy_l1d_reads"), 1, "L0 miss reads L1D");
+        assert_eq!(m.stats().energy_l1d_reads, 1, "L0 miss reads L1D");
         // In-flight coalesce pays the serial L0 cycle and reads no L1D.
         let now = t1 - 2;
         let t2 = done_at(m.load(&req(0, 0x1000, 6, now)));
         assert_eq!(t2, now + m.cfg.l1d.latency + 1);
-        assert_eq!(m.stats().get("energy_l1d_reads"), 1);
+        assert_eq!(m.stats().energy_l1d_reads, 1);
         // L0 hit: no L1D read either.
         done_at(m.load(&req(0, 0x1000, 7, t1 + 5)));
-        assert_eq!(m.stats().get("l0_hits"), 1);
-        assert_eq!(m.stats().get("energy_l1d_reads"), 1);
+        assert_eq!(m.stats().l0_hits, 1);
+        assert_eq!(m.stats().energy_l1d_reads, 1);
         // A second L0 miss reads the L1D again.
         done_at(m.load(&req(0, 0x9000, 8, t1 + 6)));
-        assert_eq!(m.stats().get("energy_l1d_reads"), 2);
+        assert_eq!(m.stats().energy_l1d_reads, 2);
         let ids: Vec<_> = m.stats().iter().map(|(name, _)| name).collect();
         assert!(!ids.contains(&"energy_minion_reads") && !ids.contains(&"l1d_hits"));
     }
@@ -1282,7 +1361,7 @@ mod tests {
             // Only the L2 step restarts its orphan (one timeleap, one
             // cancellation of the squashed load's ticket); the L1 step
             // adds neither.
-            assert_eq!(m.stats().get("timeleaps"), 1, "{}", scheme.name());
+            assert_eq!(m.stats().timeleaps, 1, "{}", scheme.name());
             assert_eq!(m.take_cancellations(0).len(), 1, "{}", scheme.name());
         }
     }
@@ -1301,7 +1380,7 @@ mod tests {
             assert!(matches!(m.ifetch(&ireq), LoadResp::Retry { .. }));
             let ids: Vec<_> = m.stats().iter().map(|(name, _)| name).collect();
             assert!(!ids.contains(&"mshr_retries"), "{}", scheme.name());
-            assert_eq!(m.stats().get("leapfrogs"), 0, "{}", scheme.name());
+            assert_eq!(m.stats().leapfrogs, 0, "{}", scheme.name());
         }
     }
 
@@ -1377,7 +1456,7 @@ mod tests {
             m.cores[1].l1d.probe(0x1000).unwrap().state.is_writable(),
             "speculative load must not downgrade remote M"
         );
-        assert_eq!(m.stats().get("noncoherent_forwards"), 1);
+        assert_eq!(m.stats().noncoherent_forwards, 1);
         // At commit the load replays and the downgrade happens.
         let mut creq = req(0, 0x1000, 5, t);
         creq.speculative = false;
@@ -1430,11 +1509,11 @@ mod tests {
         done_at(m.load(&req(0, 0x20000, 6, 0)));
         // After the MSHRs drain, a newer load finds no eligible slot.
         done_at(m.load(&req(0, 0x30000, 20, 500)));
-        assert_eq!(m.stats().get("fill_rejects"), 1);
+        assert_eq!(m.stats().fill_rejects, 1);
         let mut creq = req(0, 0x30000, 20, 1000);
         creq.speculative = false;
         m.commit_load(&creq);
-        assert_eq!(m.stats().get("lost_at_commit"), 1);
+        assert_eq!(m.stats().lost_at_commit, 1);
         assert!(m.cores[0].l1d.probe(0x30000).is_none());
 
         // With async reload the line lands in the L1 anyway.
@@ -1446,7 +1525,7 @@ mod tests {
         let mut creq = req(0, 0x30000, 20, 1000);
         creq.speculative = false;
         m2.commit_load(&creq);
-        assert_eq!(m2.stats().get("async_reloads"), 1);
+        assert_eq!(m2.stats().async_reloads, 1);
         assert!(m2.cores[0].l1d.probe(0x30000).is_some());
     }
 
@@ -1460,7 +1539,7 @@ mod tests {
         // Commit promotes to L1I.
         m.commit_ifetch(0, gm_isa::ITEXT_BASE);
         assert!(m.cores[0].l1i.probe(gm_isa::ITEXT_BASE).is_some());
-        assert_eq!(m.stats().get("iminion_commit_moves"), 1);
+        assert_eq!(m.stats().iminion_commit_moves, 1);
     }
 
     #[test]

@@ -91,6 +91,30 @@ fn core_stats_from(j: &Json) -> Result<CoreStats, String> {
     })
 }
 
+/// Decodes a record's `counters` object, accepting only what
+/// [`job_record`] writes: each name a memory-system counter, listed
+/// once, with a positive value (the encoder lists only nonzero counters).
+fn mem_stats_from(record: &Json) -> Result<MemStats, String> {
+    let mut stats = MemStats::default();
+    for (name, value) in record
+        .get("counters")
+        .and_then(Json::as_object)
+        .ok_or("record has no counters object")?
+    {
+        let slot = stats
+            .get_mut(name)
+            .ok_or_else(|| format!("unknown counter {name:?}"))?;
+        if *slot != 0 {
+            return Err(format!("counter {name:?} listed twice"));
+        }
+        *slot = value
+            .as_u64()
+            .filter(|&v| v > 0)
+            .ok_or_else(|| format!("counter {name:?} is not a positive u64"))?;
+    }
+    Ok(stats)
+}
+
 /// Rebuilds a [`MachineResult`] from a record, validating that it
 /// belongs to (`workload`, `scheme_name`). The returned result uses the
 /// caller's `scheme_name` (a `&'static str` from the live [`ghostminion::Scheme`]),
@@ -139,23 +163,10 @@ pub fn result_from_record(
         .iter()
         .map(core_stats_from)
         .collect::<Result<Vec<_>, _>>()?;
-    let mut mem_stats = MemStats::new();
-    for (name, value) in record
-        .get("counters")
-        .and_then(Json::as_object)
-        .ok_or("record has no counters object")?
-    {
-        mem_stats.add(
-            name,
-            value
-                .as_u64()
-                .ok_or_else(|| format!("counter {name:?} is not a u64"))?,
-        );
-    }
     Ok(MachineResult {
         cycles: field_u64(record, "cycles")?,
         core_stats,
-        mem_stats,
+        mem_stats: mem_stats_from(record)?,
         scheme_name,
         threads,
     })
@@ -163,12 +174,12 @@ pub fn result_from_record(
 
 /// Shape-checks a record without reconstructing a result from it:
 /// format version, identity fields, well-formed fingerprint, complete
-/// per-core statistics consistent with `threads`, and all-integer
-/// counters. Unlike [`result_from_record`] it needs no live
-/// [`ghostminion::Scheme`] to compare against, so `gm-run store
-/// --verify` can run it over every record the store holds — including
-/// records of schemes or workloads the current registry no longer
-/// produces.
+/// per-core statistics consistent with `threads`, and the counters
+/// [`result_from_record`] accepts. Unlike [`result_from_record`] it
+/// needs no live [`ghostminion::Scheme`] to compare against, so `gm-run
+/// store --verify` can run it over every record the store holds —
+/// including records of schemes or workloads the current registry no
+/// longer produces.
 pub fn validate_record(record: &Json) -> Result<(), String> {
     let v = field_u64(record, "v")?;
     if v != FORMAT_VERSION {
@@ -203,15 +214,7 @@ pub fn validate_record(record: &Json) -> Result<(), String> {
     for core in cores {
         core_stats_from(core)?;
     }
-    for (name, value) in record
-        .get("counters")
-        .and_then(Json::as_object)
-        .ok_or("record has no counters object")?
-    {
-        value
-            .as_u64()
-            .ok_or_else(|| format!("counter {name:?} is not a u64"))?;
-    }
+    mem_stats_from(record)?;
     Ok(())
 }
 
@@ -255,9 +258,7 @@ mod tests {
         let r = small_result();
         let rec = job_record("record-test", "GhostMinion", &r, 1234, "feed");
         let back = result_from_record(&rec, "record-test", "GhostMinion").unwrap();
-        // MachineResult has no PartialEq; its derived Debug form covers
-        // every field.
-        assert_eq!(format!("{back:?}"), format!("{r:?}"));
+        assert_eq!(back, r);
         assert_eq!(record_wall_us(&rec).unwrap(), 1234);
         assert_eq!(record_fingerprint(&rec).unwrap(), "feed");
     }
@@ -268,8 +269,65 @@ mod tests {
         let rec = job_record("record-test", "GhostMinion", &r, 7, "00ff");
         let parsed = Json::parse(&rec.render()).unwrap();
         let back = result_from_record(&parsed, "record-test", "GhostMinion").unwrap();
-        assert_eq!(format!("{back:?}"), format!("{r:?}"));
+        assert_eq!(back, r);
         assert_eq!(parsed.render(), rec.render());
+    }
+
+    #[test]
+    fn every_counter_survives_encode_render_parse_decode() {
+        let mut r = small_result();
+        for (i, name) in MemStats::NAMES.iter().enumerate() {
+            *r.mem_stats.get_mut(name).unwrap() = 1000 + i as u64;
+        }
+        let rec = job_record("record-test", "GhostMinion", &r, 7, "00ff");
+        let parsed = Json::parse(&rec.render()).unwrap();
+        let written: Vec<&str> = parsed
+            .get("counters")
+            .and_then(Json::as_object)
+            .unwrap()
+            .iter()
+            .map(|(name, _)| name.as_str())
+            .collect();
+        assert_eq!(written, MemStats::NAMES);
+        let back = result_from_record(&parsed, "record-test", "GhostMinion").unwrap();
+        assert_eq!(back.mem_stats, r.mem_stats);
+    }
+
+    /// `rec` with its `counters` object replaced by `counters`.
+    fn with_counters(rec: &Json, counters: &[(&str, Json)]) -> Json {
+        let mut obj = Json::object();
+        for (name, value) in counters {
+            obj.set(name, value.clone());
+        }
+        let mut bad = rec.clone();
+        bad.remove("counters");
+        bad.set("counters", obj);
+        bad
+    }
+
+    #[test]
+    fn decode_and_validation_refuse_counters_the_encoder_never_writes() {
+        let r = small_result();
+        let fp = "ab".repeat(32);
+        let rec = job_record("record-test", "GhostMinion", &r, 0, &fp);
+        validate_record(&rec).unwrap();
+        let (name, value) = r.mem_stats.iter().next().expect("the run counts events");
+        let once = (name, Json::from(value));
+        for (counters, why) in [
+            (vec![("no_such_event", Json::from(1u64))], "unknown counter"),
+            (vec![("loads", Json::from(0u64))], "not a positive u64"),
+            (vec![("loads", Json::from(-3.0))], "not a positive u64"),
+            (vec![("loads", Json::from("7"))], "not a positive u64"),
+            (vec![once.clone(), once], "listed twice"),
+        ] {
+            let bad = with_counters(&rec, &counters);
+            let decoded = result_from_record(&bad, "record-test", "GhostMinion");
+            assert!(decoded.unwrap_err().contains(why), "{counters:?}");
+            assert!(
+                validate_record(&bad).unwrap_err().contains(why),
+                "{counters:?}"
+            );
+        }
     }
 
     #[test]

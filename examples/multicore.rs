@@ -22,7 +22,7 @@ fn main() {
             w.name,
             r.cycles,
             r.committed(),
-            r.mem_stats.get("coherence_replays"),
+            r.mem_stats.coherence_replays,
         );
         if w.name == "canneal" {
             // The shared counter the threads increment under a spinlock.

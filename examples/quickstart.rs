@@ -35,7 +35,7 @@ fn main() {
             m.core(0).reg(acc),
             r.cycles,
             r.core_stats[0].ipc(),
-            r.mem_stats.get("minion_hits"),
+            r.mem_stats.minion_hits,
         );
     }
 }

@@ -20,7 +20,7 @@ use ghostminion::{Scheme, SystemConfig};
 use gm_bench::experiment::{Report, SchemeCol, Sweep};
 use gm_bench::report::{render_sweep, sweep_results_json};
 use gm_bench::{FailureKind, FaultPlan, Runner, Shard, Supervision};
-use gm_results::{sha256_hex, FaultControl, FaultyIo, ResultStore};
+use gm_results::{sha256_hex, validate_record, FaultControl, FaultyIo, ResultStore};
 use gm_stats::Json;
 use gm_workloads::{Scale, Suite};
 use proptest::prelude::*;
@@ -355,6 +355,60 @@ fn a_store_read_error_degrades_to_a_cold_run_not_an_abort() {
     let (_, wt, _) = render_sweep(&sweep, &warm.to_results());
     let (_, rt, _) = render_sweep(&sweep, &run.to_results());
     assert_eq!(wt.render(), rt.render());
+}
+
+/// A record whose checksum holds but whose counters decoding refuses —
+/// an unknown name, a zero count — is a miss like any corrupt record:
+/// `store --verify`'s check reports it, the job re-simulates, and the
+/// sweep's JSON equals a clean run's.
+#[test]
+fn records_with_refused_counters_re_simulate() {
+    let scratch = Scratch::new("counters");
+    let sweep = small_sweep();
+    let run = |store: &ResultStore| {
+        Runner::new(2)
+            .run_sweep_shard(&sweep, Scale::Test, "t", Some(store), Shard::full(), None)
+            .unwrap()
+    };
+    let clean = run(&scratch.store("clean"));
+    let clean_json = strip_wall(&sweep_results_json(&sweep, &clean).render());
+    for (i, (counter, value)) in [("no_such_event", 1u64), ("loads", 0)]
+        .into_iter()
+        .enumerate()
+    {
+        let store = scratch.store(&format!("planted{i}"));
+        run(&store);
+        // Supersede the gamess/GhostMinion record with a checksummed copy
+        // whose `counter` reads `value`.
+        let mut record = store
+            .load("t")
+            .unwrap()
+            .records
+            .into_values()
+            .find(|r| {
+                r.get("workload").and_then(Json::as_str) == Some("gamess")
+                    && r.get("scheme").and_then(Json::as_str) == Some("GhostMinion")
+            })
+            .expect("the store holds gamess/GhostMinion");
+        let mut counters = Json::object();
+        for (name, v) in record.remove("counters").unwrap().as_object().unwrap() {
+            if name != counter {
+                counters.set(name, v.clone());
+            }
+        }
+        counters.set(counter, value);
+        record.set("counters", counters);
+        assert!(validate_record(&record).is_err(), "{counter}: {value}");
+        store.append("t", &record).unwrap();
+
+        let healed = run(&store);
+        assert_eq!((healed.cache.hits, healed.cache.misses), (3, 1));
+        assert_eq!(
+            strip_wall(&sweep_results_json(&sweep, &healed).render()),
+            clean_json,
+            "{counter}: {value}"
+        );
+    }
 }
 
 #[test]

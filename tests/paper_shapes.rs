@@ -118,10 +118,9 @@ fn fig10_events_are_rare() {
             vec![w.clone()],
         )
         .run(u64::MAX);
-        let loads = r.mem_stats.get("loads").max(1) as f64;
-        let events = (r.mem_stats.get("timeguards")
-            + r.mem_stats.get("timeleaps")
-            + r.mem_stats.get("leapfrogs")) as f64;
+        let loads = r.mem_stats.loads.max(1) as f64;
+        let events =
+            (r.mem_stats.timeguards + r.mem_stats.timeleaps + r.mem_stats.leapfrogs) as f64;
         assert!(
             events / loads < 0.10,
             "{name}: backwards-in-time events {:.3} of loads",

@@ -94,7 +94,7 @@ fn leapfrog_cancellation_mid_sleep_matches_lockstep() {
     // The scenario must actually exercise the push channel: leapfrog
     // steals happened and cancelled loads were replayed by their cores.
     assert!(
-        skip.mem_stats.get("leapfrogs") > 0,
+        skip.mem_stats.leapfrogs > 0,
         "scenario failed to provoke leapfrog steals"
     );
     let replays: u64 = skip.core_stats.iter().map(|s| s.load_replays).sum();
