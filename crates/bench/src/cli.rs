@@ -935,7 +935,13 @@ fn trace_main(a: Args) {
         result.cycles,
         committed
     );
-    print_stage_gates(program, &machine, result.core_stats.len());
+    let cores = result.core_stats.len();
+    let ticks: u64 = (0..cores).map(|i| machine.core(i).ticks()).sum();
+    let cycles = result.cycles * cores as u64;
+    eprintln!(
+        "{program}: cycle skipping: {ticks} ticks over {cycles} cycles ({} skipped)",
+        cycles - ticks
+    );
     if let Some(o3) = &o3 {
         if let Err(e) = o3.borrow_mut().finish() {
             fail(program, &format!("cannot write trace: {e}"));
@@ -945,45 +951,6 @@ fn trace_main(a: Args) {
     if let Some(sum) = &sum {
         print!("{}", sum.borrow().render(result.cycles));
     }
-}
-
-/// Prints to stderr how often each gated pipeline stage ran and how
-/// often its gate skipped it, summed over the machine's `cores`: a
-/// table, then one greppable `stage gates: T ticks, R runs, S skips`
-/// line.
-fn print_stage_gates(program: &str, machine: &ghostminion::Machine, cores: usize) {
-    let mut ticks = 0;
-    let mut runs = [0u64; 6];
-    for i in 0..cores {
-        let (t, r) = machine.core(i).stage_counts();
-        ticks += t;
-        for (sum, r) in runs.iter_mut().zip(r) {
-            *sum += r;
-        }
-    }
-    let mut table = gm_stats::Table::new(vec![
-        "stage".into(),
-        "runs".into(),
-        "skips".into(),
-        "skip%".into(),
-    ]);
-    for (name, &r) in gm_sim::STAGE_NAMES.iter().zip(&runs) {
-        let skip_pct = if ticks > 0 {
-            (ticks - r) as f64 / ticks as f64 * 100.0
-        } else {
-            0.0
-        };
-        table.row(vec![
-            (*name).to_owned(),
-            r.to_string(),
-            (ticks - r).to_string(),
-            format!("{skip_pct:.1}"),
-        ]);
-    }
-    let total: u64 = runs.iter().sum();
-    let skips = ticks * runs.len() as u64 - total;
-    eprint!("{}", table.render());
-    eprintln!("{program}: stage gates: {ticks} ticks, {total} runs, {skips} skips");
 }
 
 #[rustfmt::skip]
@@ -2009,8 +1976,9 @@ mod tests {
         for flag in ["--check", "--workloads"] {
             assert!(u.contains(flag), "{flag} missing from bench usage");
         }
-        // The profiling switch and its cargo feature are gone: the stage
-        // gates count on every build and `gm-run trace` reports them.
+        // The profiling switch and its cargo feature are gone: cores
+        // count their ticks on every build and `gm-run trace` reports
+        // them.
         assert!(!u.contains("--profile"), "--profile still in bench usage");
         assert!(
             !u.contains("prof"),

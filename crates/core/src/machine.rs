@@ -7,90 +7,7 @@ use gm_mem::CacheConfig;
 use gm_sim::{Core, CoreConfig, CoreStats, MemoryBackend, TraceSink};
 use gm_stats::Json;
 use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::rc::Rc;
-
-/// Wake-ordered schedule over the machine's cores: a min-heap keyed on
-/// each core's `next_wake`, with lazy invalidation (reschedules push a
-/// fresh entry; stale entries are discarded when they surface). The
-/// authoritative wake cycle lives in `wake`, so a popped entry is valid
-/// exactly when it still matches.
-///
-/// The heap sees only *sleeping* cores. A core due at the very next
-/// cycle — the steady state of a core making progress — is tracked by a
-/// bare counter (`due_next`) instead, so consecutive busy cycles cost
-/// zero heap traffic; heap pushes happen only when a core goes
-/// quiescent, which is exactly when they pay for themselves.
-struct WakeSchedule {
-    /// Authoritative next-wake cycle per core (`u64::MAX` = halted).
-    wake: Vec<u64>,
-    /// (wake, core) min-heap of sleeping cores; may hold stale entries
-    /// for cores woken early (cancellations) or re-slept since.
-    heap: BinaryHeap<Reverse<(u64, usize)>>,
-    /// Number of live cores scheduled for exactly the next cycle (and
-    /// deliberately *not* in the heap).
-    due_next: usize,
-}
-
-impl WakeSchedule {
-    fn new(n: usize, start: u64) -> Self {
-        Self {
-            wake: vec![start; n],
-            heap: (0..n).map(|i| Reverse((start, i))).collect(),
-            due_next: 0,
-        }
-    }
-
-    /// The cycle core `i` is scheduled to wake at.
-    fn wake(&self, i: usize) -> u64 {
-        self.wake[i]
-    }
-
-    /// Reschedules core `i` to wake at `at`, where `next` is the cycle
-    /// after the one being processed.
-    fn set(&mut self, i: usize, at: u64, next: u64) {
-        self.wake[i] = at;
-        if at == next {
-            self.due_next += 1;
-        } else {
-            self.heap.push(Reverse((at, i)));
-        }
-    }
-
-    /// Removes core `i` from the schedule (halted).
-    fn halt(&mut self, i: usize) {
-        self.wake[i] = u64::MAX;
-    }
-
-    /// Moves core `i`'s wake to `next` if currently later (the
-    /// cancellation push channel never delays a core). The stale heap
-    /// entry is discarded when it surfaces.
-    fn pull_to_next(&mut self, i: usize, next: u64) {
-        if next < self.wake[i] {
-            self.wake[i] = next;
-            self.due_next += 1;
-        }
-    }
-
-    /// The next cycle to process: the next cycle itself if any core is
-    /// due then, otherwise the earliest sleeper in the heap (discarding
-    /// stale entries along the way). `None` only when no core is
-    /// scheduled at all.
-    fn next_cycle(&mut self, next: u64) -> Option<u64> {
-        if self.due_next > 0 {
-            self.due_next = 0;
-            return Some(next);
-        }
-        while let Some(&Reverse((at, i))) = self.heap.peek() {
-            if self.wake[i] == at {
-                return Some(at);
-            }
-            self.heap.pop();
-        }
-        None
-    }
-}
 
 /// Complete system configuration (Table 1 by default).
 #[derive(Clone, Copy, Debug)]
@@ -401,14 +318,15 @@ impl Machine {
 
     /// Runs until all cores halt (or `max_cycles`), returning the result.
     ///
-    /// The loop is wake-ordered: a min-heap keyed on each core's
-    /// `next_wake` picks the earliest cycle at which *any* core can act,
-    /// and only the cores due at that cycle are ticked — a core stalled
-    /// on memory for a thousand cycles costs zero `tick` calls while the
-    /// other cores keep running. Per-cycle stall counters of the elided
-    /// cycles are replayed just before a slept core's next real tick, so
-    /// skipping is invisible in the statistics. Cores are always ticked
-    /// in index order within a cycle, exactly like the per-cycle loop.
+    /// The loop is wake-ordered: it keeps each core's next wake cycle
+    /// (`u64::MAX` once halted), jumps to the earliest — the first cycle
+    /// at which *any* core can act — and ticks only the cores due then,
+    /// so a core stalled on memory for a thousand cycles costs zero
+    /// `tick` calls while the other cores keep running. Per-cycle stall
+    /// counters of the elided cycles are replayed just before a slept
+    /// core's next real tick, so skipping is invisible in the
+    /// statistics. Cores are always ticked in index order within a
+    /// cycle, exactly like the per-cycle loop.
     ///
     /// The one way the memory system pushes an event *at* a core is a
     /// leapfrog cancellation (§4.5): when any are queued after a cycle,
@@ -442,57 +360,52 @@ impl Machine {
     /// assert_eq!(m.core(0).reg(Reg::x(1)), 42);
     /// ```
     pub fn run(&mut self, max_cycles: u64) -> MachineResult {
-        let n = self.cores.len();
-        let mut sched = WakeSchedule::new(n, self.cycle);
-        // Cycle of each core's last real tick, for idle-counter replay.
-        let mut last_tick = vec![self.cycle; n];
-        let mut live = 0usize;
-        for (i, c) in self.cores.iter().enumerate() {
-            if c.halted() {
-                sched.halt(i);
-            } else {
-                live += 1;
-            }
-        }
-        while live > 0 {
-            let Some(now) = sched.next_cycle(self.cycle) else {
+        let start = self.cycle;
+        // Next-wake cycle per core (`u64::MAX` = halted), and the cycle of
+        // each core's last real tick, for idle-counter replay.
+        let mut wake: Vec<u64> = self
+            .cores
+            .iter()
+            .map(|c| if c.halted() { u64::MAX } else { start })
+            .collect();
+        let mut last_tick = vec![start; wake.len()];
+        loop {
+            let now = wake.iter().copied().min().unwrap_or(u64::MAX);
+            if now == u64::MAX {
                 break;
-            };
+            }
             if now >= max_cycles {
                 self.cycle = max_cycles;
                 break;
             }
             debug_assert!(now >= self.cycle, "scheduler must move forward");
             let next = now + 1;
-            for (i, last) in last_tick.iter_mut().enumerate() {
-                if self.cores[i].halted() {
+            for (i, core) in self.cores.iter_mut().enumerate() {
+                if wake[i] == u64::MAX || (wake[i] > now && !self.mem.cancellations_pending(i)) {
+                    // Halted, or not due and no cancellation (possibly
+                    // pushed by an earlier core *this* cycle) redirects it
+                    // here.
                     continue;
                 }
-                if sched.wake(i) > now && !self.mem.cancellations_pending(i) {
-                    // Not due, and no cancellation (possibly pushed by an
-                    // earlier core *this* cycle) redirects it here.
-                    continue;
+                if now > last_tick[i] + 1 {
+                    core.account_idle_cycles(now - last_tick[i] - 1);
                 }
-                if now > *last + 1 {
-                    self.cores[i].account_idle_cycles(now - *last - 1);
-                }
-                let wake = self.cores[i].tick(&mut self.mem, now);
-                *last = now;
-                if self.cores[i].halted() {
-                    live -= 1;
-                    sched.halt(i);
+                let at = core.tick(&mut self.mem, now);
+                last_tick[i] = now;
+                wake[i] = if core.halted() {
+                    u64::MAX
                 } else {
-                    sched.set(i, wake.max(next), next);
-                }
+                    at.max(next)
+                };
             }
             if self.mem.any_cancellations_pending() {
                 // Push channel: a cancellation queued this cycle for a
                 // core at or before its issuer's index is seen at the
                 // next cycle — the same moment a core ticked every
                 // cycle would drain it.
-                for i in 0..n {
-                    if !self.cores[i].halted() && self.mem.cancellations_pending(i) {
-                        sched.pull_to_next(i, next);
+                for (i, w) in wake.iter_mut().enumerate() {
+                    if *w != u64::MAX && self.mem.cancellations_pending(i) {
+                        *w = (*w).min(next);
                     }
                 }
             }
@@ -507,11 +420,12 @@ impl Machine {
     }
 
     /// The reference oracle for [`Machine::run`]: ticks every core on
-    /// every cycle, and every core runs every stage body each tick and
-    /// issues by scanning its whole IQ (see [`Core::set_reference`]).
-    /// It skips no cycles, gates no stages and never selects from the
-    /// wakeup-driven ready set, so agreement with it in every result
-    /// field pins all three shortcuts of the production loop.
+    /// every cycle, and every core issues by scanning its whole IQ and
+    /// sends loads by scanning its whole LQ (see
+    /// [`Core::set_reference`]). It skips no cycles and never selects
+    /// from the wakeup-driven ready set or the send list, so agreement
+    /// with it in every result field pins all three shortcuts of the
+    /// production loop.
     /// Slow; for tests only.
     pub fn run_reference(&mut self, max_cycles: u64) -> MachineResult {
         for core in &mut self.cores {

@@ -93,25 +93,6 @@ fn insert_by_seq<T>(list: &mut Vec<(u64, T)>, seq: u64, x: T) -> bool {
 const EV_EXEC: u64 = 0;
 const EV_LOAD: u64 = 1;
 
-/// Names of the stage-gated pipeline stages, in dispatch order: entry
-/// `i` names the stage [`Core::stage_counts`] reports in `runs[i]`.
-/// `drain_cancellations` and the FU new-cycle rollover are ungated (they
-/// are the channels that *create* pending work), so they are not listed.
-pub const STAGE_NAMES: [&str; 6] = ["writeback", "commit", "issue", "lsq", "rename", "fetch"];
-
-/// Dispatches one pipeline stage behind its pending-work predicate and
-/// counts the dispatch in `$core.stage_runs[$i]` (`$i` indexes
-/// [`STAGE_NAMES`]). A tick that skips the stage counts nothing, so
-/// skips are ticks minus runs.
-macro_rules! gated_stage {
-    ($core:ident, $i:expr, $pred:expr, $body:block) => {
-        if $pred {
-            $core.stage_runs[$i] += 1;
-            $body
-        }
-    };
-}
-
 /// Aggregate per-core statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CoreStats {
@@ -183,14 +164,10 @@ pub struct Core {
     stats: CoreStats,
     /// Calls to [`Core::tick`] made while this core was not halted.
     ticks: u64,
-    /// Per-stage dispatch counts, indexed like [`STAGE_NAMES`]. Kept out
-    /// of [`CoreStats`]: a reference core dispatches every stage on
-    /// every tick, so these differ from the fast path's by design.
-    stage_runs: [u64; 6],
     /// Whether this core is the reference oracle (see
-    /// [`Core::set_reference`]): every stage body runs every tick, issue
-    /// scans the whole IQ in seq order instead of the wakeup-driven ready
-    /// set, and the LSQ scans the whole LQ instead of the send list.
+    /// [`Core::set_reference`]): issue scans the whole IQ in seq order
+    /// instead of the wakeup-driven ready set, and the LSQ scans the
+    /// whole LQ instead of the send list.
     reference: bool,
     /// Per-physical-register lists of IQ entries waiting on that value.
     wakeup: WakeupTable,
@@ -283,7 +260,6 @@ impl Core {
             last_committed_iline: u64::MAX,
             stats: CoreStats::default(),
             ticks: 0,
-            stage_runs: [0; 6],
             reference: false,
             wakeup: WakeupTable::new(cfg.int_regs + cfg.fp_regs),
             ready: Vec::with_capacity(cfg.iq_entries),
@@ -324,21 +300,20 @@ impl Core {
         &self.stats
     }
 
-    /// Stage-gate work counts so far: `(ticks, runs)`, where `runs[i]`
-    /// counts the ticks that dispatched stage [`STAGE_NAMES`]`[i]`; the
-    /// gate skipped that stage on the other `ticks - runs[i]`. A
-    /// reference core has `runs[i] == ticks` for every stage.
-    pub fn stage_counts(&self) -> (u64, [u64; 6]) {
-        (self.ticks, self.stage_runs)
+    /// Calls to [`Core::tick`] so far that found this core running. A
+    /// run loop that skips quiescent cycles ticks fewer times than the
+    /// cycles it simulates; one that ticks every cycle, as
+    /// `Machine::run_reference` does, ticks once per cycle until halt.
+    pub fn ticks(&self) -> u64 {
+        self.ticks
     }
 
-    /// Turns this core into the reference oracle: every tick runs every
-    /// stage body (no stage gating), issue re-scans the whole IQ in seq
-    /// order instead of selecting from the wakeup-driven ready set, and
-    /// the LSQ re-scans the whole LQ instead of walking the send list. Ticked
-    /// every cycle by `Machine::run_reference`, it has no shortcut at
-    /// all, so the production path is checked against it for
-    /// bit-identity. Call before the first tick.
+    /// Turns this core into the reference oracle: issue re-scans the
+    /// whole IQ in seq order instead of selecting from the wakeup-driven
+    /// ready set, and the LSQ re-scans the whole LQ instead of walking
+    /// the send list. Ticked every cycle by `Machine::run_reference`, it
+    /// has no shortcut at all, so the production path is checked against
+    /// it for bit-identity. Call before the first tick.
     pub fn set_reference(&mut self) {
         self.reference = true;
     }
@@ -402,57 +377,6 @@ impl Core {
         self.regs.read(self.regs.lookup(r))
     }
 
-    /// Whether the writeback stage has an event due at `now`.
-    #[inline]
-    fn writeback_pending(&self, now: u64) -> bool {
-        matches!(self.events.peek(), Some(&Reverse((t, _, _, _))) if t <= now)
-    }
-
-    /// Whether the commit stage can retire anything at `now`: the head
-    /// is `Done` with its result available (cached in the ROB) and no
-    /// commit-time stall is in force. Exactly the first-iteration break
-    /// conditions of [`Core::commit`].
-    #[inline]
-    fn commit_pending(&self, now: u64) -> bool {
-        self.stall_commit_until <= now && self.rob.head_ready(now)
-    }
-
-    /// Whether the issue stage can have any observable effect this
-    /// cycle: the maintained ready set is non-empty, or (under §4.9
-    /// strict ordering) non-pipelined entries are waiting, whose mere
-    /// presence counts delay statistics — exactly when the fast path of
-    /// [`Core::issue`] has an entry to visit.
-    #[inline]
-    fn issue_pending(&self) -> bool {
-        !self.ready.is_empty() || (self.cfg.strict_fu_order && !self.nonpipe.is_empty())
-    }
-
-    /// Whether the LSQ stage has candidates: a load on the send list
-    /// (sendable or backing off from a retry) or a parked STT load whose
-    /// visibility must be re-checked.
-    #[inline]
-    fn lsq_pending(&self) -> bool {
-        !self.send.is_empty() || !self.parked_seqs.is_empty()
-    }
-
-    /// Whether rename can dispatch at least one instruction: an
-    /// available fetch-queue head and ROB/IQ space. Exactly the
-    /// first-iteration break conditions of [`Core::rename`] (per-op
-    /// LQ/SQ/free-register checks stay in the body).
-    #[inline]
-    fn rename_pending(&self, now: u64) -> bool {
-        self.fetch_queue.front().is_some_and(|f| f.avail_at <= now)
-            && self.rob.free() > 0
-            && !self.iq_free.is_empty()
-    }
-
-    /// Whether fetch may run: no fetch stall in force and buffer space
-    /// available. Exactly the entry checks of [`Core::fetch`].
-    #[inline]
-    fn fetch_pending(&self, now: u64) -> bool {
-        self.fetch_stall_until <= now && self.fetch_queue.len() < self.cfg.fetch_buffer
-    }
-
     /// Advances one cycle against `mem`, returning the earliest cycle at
     /// which this core's state can change again.
     ///
@@ -470,17 +394,9 @@ impl Core {
     /// deadline, so a stuck core still panics at the same cycle the
     /// reference loop would.
     ///
-    /// The busy path is *stage-gated*: each stage has a cheap
-    /// pending-work predicate maintained by the structures it reads
-    /// (`writeback_pending` … `fetch_pending` above), and only stages
-    /// whose predicate holds are dispatched. Every predicate is exactly
-    /// the stage body's own entry condition — a skipped stage would
-    /// have returned without touching state — so gating is
-    /// bit-identical to running every stage, which a
-    /// [`Core::set_reference`] core does (asserted by
-    /// `tests/cycle_skipping.rs`). `Core::next_wake` is built from
-    /// the same predicates, so gating and wake computation share one
-    /// source of truth.
+    /// Every tick calls writeback, commit, issue, LSQ, rename and fetch
+    /// in that order; each stage returns at once when it has nothing to
+    /// do.
     pub fn tick(&mut self, mem: &mut dyn MemoryBackend, now: u64) -> u64 {
         if self.halted {
             return u64::MAX;
@@ -491,25 +407,12 @@ impl Core {
         self.stats.cycles = now + 1;
         self.fu.new_cycle();
         self.drain_cancellations(mem);
-        let ungated = self.reference;
-        gated_stage!(self, 0, ungated || self.writeback_pending(now), {
-            self.writeback(mem, now)
-        });
-        gated_stage!(self, 1, ungated || self.commit_pending(now), {
-            self.commit(mem, now)
-        });
-        gated_stage!(self, 2, ungated || self.issue_pending(), {
-            self.issue(now)
-        });
-        gated_stage!(self, 3, ungated || self.lsq_pending(), {
-            self.lsq_tick(mem, now)
-        });
-        gated_stage!(self, 4, ungated || self.rename_pending(now), {
-            self.rename(now)
-        });
-        gated_stage!(self, 5, ungated || self.fetch_pending(now), {
-            self.fetch(mem, now)
-        });
+        self.writeback(mem, now);
+        self.commit(mem, now);
+        self.issue(now);
+        self.lsq_tick(mem, now);
+        self.rename(now);
+        self.fetch(mem, now);
         if now.saturating_sub(self.last_commit_cycle) > DEADLOCK_CYCLES {
             panic!(
                 "core {} deadlocked: no commit since cycle {} (now {now}); \
@@ -527,14 +430,13 @@ impl Core {
     }
 
     /// Earliest cycle after a quiescent tick at `now` at which any stage
-    /// predicate can flip — the wake times of exactly the quantities the
-    /// stage gates in [`Core::tick`] test: the writeback event heap,
-    /// fetch/commit stalls, a done-but-future ROB head (the same cached
-    /// timestamp [`Core::commit_pending`] reads), the frontend delay of
-    /// the next rename candidate, and the earliest load-retry backoff
-    /// cached on the send list. The deadlock deadline bounds the
-    /// result so a wedged core still panics exactly where the per-cycle
-    /// engine does.
+    /// can find work — the wake times of exactly the quantities the
+    /// stages' entry checks in [`Core::tick`] test: the writeback event
+    /// heap, fetch/commit stalls, a done-but-future ROB head, the
+    /// frontend delay of the next rename candidate, and the earliest
+    /// load-retry backoff cached on the send list. The deadlock deadline
+    /// bounds the result so a wedged core still panics exactly where the
+    /// per-cycle engine does.
     fn next_wake(&self, now: u64) -> u64 {
         let mut wake = self.last_commit_cycle + DEADLOCK_CYCLES + 1;
         // The event heap also covers every non-pipelined FU release:
@@ -793,8 +695,8 @@ impl Core {
             if self.stall_commit_until > now {
                 break;
             }
-            // One cached comparison covers "empty", "not done", and
-            // "done in the future" at once (see [`Rob::head_ready`]).
+            // One check covers "empty", "not done", and "done in the
+            // future" at once (see [`Rob::head_ready`]).
             if !self.rob.head_ready(now) {
                 break;
             }
@@ -803,7 +705,7 @@ impl Core {
             let inst = head.inst;
             let fetch_line = head.fetch_line;
             let mem_addr = head.mem_addr;
-            // Past the gates something always changes: a commit, a halt,
+            // Past these checks something always changes: a commit, a halt,
             // or a commit-time stall being installed.
             self.tick_progress = true;
 
@@ -1099,6 +1001,11 @@ impl Core {
     // ---- LSQ: send ready loads to memory ----
 
     fn lsq_tick(&mut self, mem: &mut dyn MemoryBackend, now: u64) {
+        // No load to send or unpark. The reference core scans the whole
+        // LQ every tick instead.
+        if !self.reference && self.send.is_empty() && self.parked_seqs.is_empty() {
+            return;
+        }
         // Unpark STT loads whose visibility point arrived. The event that
         // makes a parked load visible (an older branch or memory access
         // resolving) is always processed by this core's own writeback or

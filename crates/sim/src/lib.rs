@@ -38,7 +38,7 @@ mod wakeup;
 
 pub use bpred::{BpredConfig, BranchUpdate, Prediction, TournamentPredictor};
 pub use config::{CoreConfig, TaintMode};
-pub use engine::{Core, CoreStats, STAGE_NAMES};
+pub use engine::{Core, CoreStats};
 pub use fu::FuPool;
 pub use lsq::{LoadQueue, StoreQueue};
 pub use mem_if::{AccessKind, LoadResp, MemReq, MemoryBackend, Ticket};

@@ -122,12 +122,6 @@ pub struct Rob {
     unresolved_mem: Vec<u64>,
     /// Seqs of in-flight fences (watched until commit, not completion).
     fences: Vec<u64>,
-    /// `done_at` of the head entry when its status is [`RobStatus::Done`],
-    /// else `u64::MAX` (including when the buffer is empty). Maintained by
-    /// [`Rob::set_done_at`] and every operation that changes which entry
-    /// is at the front, so commit gating ([`Rob::head_ready`]) and wake
-    /// computation ([`Rob::head_done_at`]) never re-probe `entries.front()`.
-    head_done_at: u64,
 }
 
 /// Removes `seq` from a sorted watch list, if present.
@@ -148,7 +142,6 @@ impl Rob {
             unresolved_ctrl: Vec::new(),
             unresolved_mem: Vec::new(),
             fences: Vec::new(),
-            head_done_at: u64::MAX,
         }
     }
 
@@ -198,16 +191,6 @@ impl Rob {
         self.index_of(seq).map(|i| &self.entries[i])
     }
 
-    /// Mutable lookup by sequence number.
-    ///
-    /// Callers must not set `status` to [`RobStatus::Done`] through this
-    /// handle — that is [`Rob::set_done`]/[`Rob::set_done_at`]'s job, and
-    /// going around them would leave the watch lists and the cached
-    /// [`Rob::head_done_at`] stale.
-    pub fn get_mut(&mut self, seq: u64) -> Option<&mut RobEntry> {
-        self.index_of(seq).map(move |i| &mut self.entries[i])
-    }
-
     fn index_of(&self, seq: u64) -> Option<usize> {
         // Seqs are allocated consecutively, so `seq - front` is the
         // exact index unless a squash gap sits in between — check that
@@ -225,7 +208,7 @@ impl Rob {
 
     /// Position of the entry with sequence `seq`, for repeated O(1)
     /// access through [`Rob::at`]/[`Rob::at_mut`] — one search where a
-    /// `get`/`get_mut` pair would do two. Positions are stable until the
+    /// lookup per access would do several. Positions are stable until the
     /// buffer's membership changes (push, pop, squash of *older-or-equal*
     /// entries; squashing strictly younger entries keeps `i` valid).
     pub fn find(&self, seq: u64) -> Option<usize> {
@@ -239,23 +222,20 @@ impl Rob {
 
     /// Mutable entry at position `i` (see [`Rob::find`]).
     ///
-    /// The same caveat as [`Rob::get_mut`] applies: never set `status` to
-    /// [`RobStatus::Done`] through this handle.
+    /// Never set `status` to [`RobStatus::Done`] through this handle —
+    /// that is [`Rob::set_done_at`]'s job, and going around it would
+    /// leave the watch lists stale.
     pub fn at_mut(&mut self, i: usize) -> &mut RobEntry {
         &mut self.entries[i]
     }
 
-    /// [`Rob::set_done`] for an already-located entry: marks position
-    /// `i` done at `now` and releases it from the ordering watch lists
-    /// its op is actually on.
+    /// Marks position `i` (see [`Rob::find`]) as executed: sets its
+    /// status to [`RobStatus::Done`] with result time `now` and releases
+    /// it from the ordering watch lists its op is actually on.
     pub fn set_done_at(&mut self, i: usize, now: u64) {
         let e = &mut self.entries[i];
         e.status = RobStatus::Done;
         e.done_at = now;
-        if i == 0 {
-            self.head_done_at = now;
-        }
-        let e = &self.entries[i];
         let (seq, op) = (e.seq, e.inst.op);
         if op.is_ctrl() {
             unwatch(&mut self.unresolved_ctrl, seq);
@@ -271,65 +251,40 @@ impl Rob {
     }
 
     /// Whether the head entry has a result ready to commit at `now`:
-    /// its status is [`RobStatus::Done`] and `done_at <= now`. O(1) —
-    /// reads the maintained cache instead of probing `entries.front()`.
-    /// `now` must be below `u64::MAX` (the not-done sentinel); cycle
-    /// counts are bounded by `max_cycles` in practice.
+    /// its status is [`RobStatus::Done`] and `done_at <= now`. `now`
+    /// must be below `u64::MAX` (the not-done value of
+    /// [`Rob::head_done_at`]).
     pub fn head_ready(&self, now: u64) -> bool {
-        debug_assert_eq!(
-            self.head_done_at,
-            match self.entries.front() {
-                Some(e) if e.status == RobStatus::Done => e.done_at,
-                _ => u64::MAX,
-            },
-            "head_done_at cache out of sync"
-        );
-        self.head_done_at <= now
+        self.head_done_at() <= now
     }
 
     /// The head entry's `done_at` when it is [`RobStatus::Done`], else
-    /// `u64::MAX` (also when empty). O(1) companion to
-    /// [`Rob::head_ready`] for wake computation.
+    /// `u64::MAX` (also when empty).
     pub fn head_done_at(&self) -> u64 {
-        self.head_done_at
-    }
-
-    /// Recomputes the cached head-done timestamp from the current front
-    /// entry. Called whenever a different entry (or none) becomes the
-    /// head.
-    fn refresh_head_done(&mut self) {
-        self.head_done_at = match self.entries.front() {
+        match self.entries.front() {
             Some(e) if e.status == RobStatus::Done => e.done_at,
             _ => u64::MAX,
-        };
+        }
     }
 
-    /// Removes and returns the oldest entry (commit).
-    pub fn pop_head(&mut self) -> Option<RobEntry> {
-        self.unwatch_head()?;
-        self.seqs.pop_front();
-        let head = self.entries.pop_front();
-        self.refresh_head_done();
-        head
-    }
-
-    /// Removes the oldest entry without moving it out — the cheap commit
-    /// path for callers that already read what they need from
-    /// [`Rob::head`] (a `RobEntry` is a couple of hundred bytes; the
-    /// copy [`Rob::pop_head`] returns is pure memcpy traffic when it is
-    /// immediately dropped).
+    /// Removes the oldest entry (commit) without moving it out: callers
+    /// read what they need from [`Rob::head`] first (a `RobEntry` is a
+    /// couple of hundred bytes).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the ROB is empty.
     pub fn drop_head(&mut self) {
-        self.unwatch_head().expect("drop_head on an empty ROB");
+        self.unwatch_head();
         self.seqs.pop_front();
         self.entries.pop_front();
-        self.refresh_head_done();
     }
 
     /// Releases the head from the ordering watch lists it is still on.
     /// A committing entry is `Done`, so the ctrl/mem lists were already
-    /// pruned by `set_done`; fences stay watched until here.
-    fn unwatch_head(&mut self) -> Option<()> {
-        let head = self.entries.front()?;
+    /// pruned by `set_done_at`; fences stay watched until here.
+    fn unwatch_head(&mut self) {
+        let head = self.entries.front().expect("drop_head on an empty ROB");
         let (seq, op) = (head.seq, head.inst.op);
         if op.is_ctrl() {
             unwatch(&mut self.unresolved_ctrl, seq);
@@ -340,17 +295,6 @@ impl Rob {
         if op == Op::Fence {
             unwatch(&mut self.fences, seq);
         }
-        Some(())
-    }
-
-    /// Marks `seq` as executed: sets its status to [`RobStatus::Done`]
-    /// with result time `now` and releases it from the ordering watch
-    /// lists. Returns the entry for further writeback bookkeeping, or
-    /// `None` if it was squashed while in flight.
-    pub fn set_done(&mut self, seq: u64, now: u64) -> Option<&mut RobEntry> {
-        let i = self.index_of(seq)?;
-        self.set_done_at(i, now);
-        Some(&mut self.entries[i])
     }
 
     /// Removes every entry with `seq > above`, youngest first, invoking
@@ -373,22 +317,7 @@ impl Rob {
             on_squash(&e);
             n += 1;
         }
-        // Squash removes from the tail, so the head (and its cached
-        // done-at) only changes when the whole window is emptied.
-        if self.entries.is_empty() {
-            self.head_done_at = u64::MAX;
-        }
         n
-    }
-
-    /// Iterates oldest to youngest.
-    pub fn iter(&self) -> impl Iterator<Item = &RobEntry> {
-        self.entries.iter()
-    }
-
-    /// Whether any entry older than `seq` satisfies `pred`.
-    pub fn any_older(&self, seq: u64, pred: impl FnMut(&RobEntry) -> bool) -> bool {
-        self.entries.iter().take_while(|e| e.seq < seq).any(pred)
     }
 
     /// Whether a control-flow entry older than `seq` has not produced
@@ -415,9 +344,15 @@ mod tests {
     use super::*;
     use gm_isa::Inst;
 
-    /// A finite "any time" for readiness probes — `u64::MAX` is the
-    /// cache's not-done sentinel and not a valid `now`.
+    /// A finite "any time" for readiness probes — `u64::MAX` is
+    /// [`Rob::head_done_at`]'s not-done value and not a valid `now`.
     const FOREVER: u64 = u64::MAX - 1;
+
+    /// Marks the live entry `seq` done at `now`.
+    fn set_done(r: &mut Rob, seq: u64, now: u64) {
+        let i = r.find(seq).expect("seq is live");
+        r.set_done_at(i, now);
+    }
 
     fn rob3() -> Rob {
         let mut r = Rob::new(8);
@@ -459,7 +394,8 @@ mod tests {
     #[test]
     fn commit_pops_in_order() {
         let mut r = rob3();
-        assert_eq!(r.pop_head().unwrap().seq, 10);
+        assert_eq!(r.head().unwrap().seq, 10);
+        r.drop_head();
         assert_eq!(r.head().unwrap().seq, 11);
         assert_eq!(r.len(), 2);
     }
@@ -485,11 +421,15 @@ mod tests {
 
     #[test]
     fn any_older_scans_strictly_older() {
+        // The positions below `find(seq)` hold exactly the older entries.
+        let any_older = |r: &Rob, seq, pred: fn(&RobEntry) -> bool| {
+            (0..r.find(seq).expect("seq is live")).any(|i| pred(r.at(i)))
+        };
         let mut r = rob3();
-        r.set_done(10, 0);
-        assert!(!r.any_older(11, |e| e.status != RobStatus::Done));
-        assert!(r.any_older(12, |e| e.status != RobStatus::Done)); // 11 waiting
-        assert!(!r.any_older(10, |_| true), "head has nothing older");
+        set_done(&mut r, 10, 0);
+        assert!(!any_older(&r, 11, |e| e.status != RobStatus::Done));
+        assert!(any_older(&r, 12, |e| e.status != RobStatus::Done)); // 11 waiting
+        assert!(!any_older(&r, 10, |_| true), "head has nothing older");
     }
 
     #[test]
@@ -509,16 +449,16 @@ mod tests {
         assert!(!r.older_fence(12));
 
         // Completion releases ctrl/mem watches...
-        assert!(r.set_done(10, 5).is_some());
+        set_done(&mut r, 10, 5);
         assert!(!r.older_unresolved_ctrl(13));
-        assert!(r.set_done(11, 6).is_some());
+        set_done(&mut r, 11, 6);
         assert!(!r.older_pending_mem(13));
         // ...but fences stay watched until they commit.
-        assert!(r.set_done(12, 7).is_some());
+        set_done(&mut r, 12, 7);
         assert!(r.older_fence(13));
-        r.pop_head(); // 10
-        r.pop_head(); // 11
-        r.pop_head(); // 12 — fence leaves the window
+        r.drop_head(); // 10
+        r.drop_head(); // 11
+        r.drop_head(); // 12 — fence leaves the window
         assert!(!r.older_fence(13));
     }
 
@@ -535,8 +475,8 @@ mod tests {
         assert!(!r.older_unresolved_ctrl(u64::MAX));
         assert!(!r.older_pending_mem(u64::MAX));
         assert!(!r.older_fence(u64::MAX));
-        // set_done on a squashed seq reports the miss.
-        assert!(r.set_done(12, 9).is_none());
+        // A squashed seq can no longer be found to mark done.
+        assert!(r.find(12).is_none());
     }
 
     #[test]
@@ -545,45 +485,45 @@ mod tests {
         assert!(!r.head_ready(FOREVER), "waiting head is never ready");
         assert_eq!(r.head_done_at(), u64::MAX);
 
-        // A non-head completion leaves the head cache untouched...
-        r.set_done(11, 3);
+        // A non-head completion leaves the head not ready...
+        set_done(&mut r, 11, 3);
         assert!(!r.head_ready(FOREVER));
         // ...while a head completion publishes its done-at.
-        r.set_done(10, 5);
+        set_done(&mut r, 10, 5);
         assert_eq!(r.head_done_at(), 5);
         assert!(!r.head_ready(4), "result not available yet");
         assert!(r.head_ready(5));
 
-        // Commit promotes the already-done successor into the cache.
-        r.pop_head();
+        // Commit makes the already-done successor the head.
+        r.drop_head();
         assert_eq!(r.head_done_at(), 3);
         assert!(r.head_ready(3));
         r.drop_head();
         assert!(!r.head_ready(FOREVER), "12 is still waiting");
-        r.set_done(12, 9);
-        r.pop_head();
+        set_done(&mut r, 12, 9);
+        r.drop_head();
         assert_eq!(r.head_done_at(), u64::MAX, "empty ROB is never ready");
     }
 
     #[test]
     fn head_ready_survives_squash() {
         let mut r = rob3();
-        r.set_done(10, 2);
+        set_done(&mut r, 10, 2);
         r.squash_above(10, |_| {});
         assert!(r.head_ready(2), "tail squash keeps the done head");
         r.squash_above(0, |_| {});
-        assert_eq!(r.head_done_at(), u64::MAX, "full squash clears the cache");
+        assert_eq!(r.head_done_at(), u64::MAX, "full squash leaves no head");
         // Refill after the squash: the fresh head starts un-done.
         r.push(20, 0, Inst::nop(), 0);
         assert!(!r.head_ready(FOREVER));
-        r.set_done(20, 7);
+        set_done(&mut r, 20, 7);
         assert_eq!(r.head_done_at(), 7);
     }
 
     #[test]
     fn lookup_after_commits_and_squashes() {
         let mut r = rob3();
-        r.pop_head();
+        r.drop_head();
         r.squash_above(11, |_| {});
         assert!(r.get(10).is_none());
         assert!(r.get(12).is_none());

@@ -1,11 +1,10 @@
-//! Cycle skipping and stage gating against the reference oracle: the
-//! production run loop jumps the clock over quiescent cycles (replaying
-//! the per-cycle stall counters it elides) and dispatches only the
-//! pipeline stages with pending work, while [`Machine::run_reference`]
-//! ticks every core on every cycle and runs every stage. The two must
-//! agree on the final cycle count, every per-core statistic and every
-//! memory counter. Each input is compared once; the suites split the
-//! inputs by the shortcut they stress most.
+//! Cycle skipping against the reference oracle: the production run loop
+//! jumps the clock over quiescent cycles (replaying the per-cycle stall
+//! counters it elides), while [`Machine::run_reference`] ticks every
+//! core on every cycle. The two must agree on the final cycle count,
+//! every per-core statistic and every memory counter. Each input is
+//! compared once; the suites split the inputs by the shortcut they
+//! stress most.
 //!
 //! [`Machine::run_reference`]: ghostminion_repro::core::Machine::run_reference
 
@@ -13,7 +12,7 @@ mod common;
 
 use common::{assert_matches_reference, random_program, scheme_families};
 use ghostminion_repro::core::{Machine, Scheme, SystemConfig};
-use ghostminion_repro::sim::{CoreStats, TraceEvent, TraceSink, STAGE_NAMES};
+use ghostminion_repro::sim::{CoreStats, TraceEvent, TraceSink};
 use ghostminion_repro::workloads::{Scale, Suite, WorkloadSet};
 use proptest::prelude::*;
 use std::cell::RefCell;
@@ -37,9 +36,9 @@ fn spec2006_unit_matches_reference(name: &str) {
     }
 }
 
-/// Parsec unit 0 under `scheme`: all cores must be quiescent before a
-/// cycle is elided, idle accounting is per core, and per-core stage
-/// gates must not desynchronise cores that share a memory system.
+/// Parsec unit 0 under `scheme`: a cycle is elided only when no core is
+/// due, idle accounting is per core, and per-core wake cycles must not
+/// desynchronise cores that share a memory system.
 fn parsec_unit0_matches_reference(scheme: Scheme) {
     let first = Suite::Parsec.unit_names().next().expect("parsec has units");
     let set = WorkloadSet::named(Suite::Parsec, Scale::Test, &[first]);
@@ -63,18 +62,20 @@ fn real_workloads_match_lockstep_on_micro2021() {
 
 /// mcf, the paper's worst case: a dependent chase over a working set
 /// beyond the L2, so cores sit stalled for long stretches in which
-/// most stages have no work and most cycles are skipped.
+/// most stages find no work and most cycles are skipped. (The name
+/// predates the removal of per-stage gating; every tick now runs every
+/// stage, as the oracle's does.)
 #[test]
 fn stage_gating_matches_ungated_and_lockstep_on_real_workloads() {
     spec2006_unit_matches_reference("mcf");
 }
 
-/// The gates must actually fire. A predicate that degrades to
-/// always-true passes every equivalence check above (it only loses
-/// speed), so on bzip2 and mcf every stage must be skipped at least once
-/// under each scheme family.
+/// Cycle skipping must actually fire. A `next_wake` that degrades to
+/// `now + 1` passes every equivalence check above (it only loses
+/// speed), so on bzip2 and mcf core 0 must tick fewer times than the
+/// cycles it runs under each scheme family.
 #[test]
-fn every_stage_gate_skips_on_real_workloads() {
+fn run_skips_quiescent_cycles_on_real_workloads() {
     let names = ["bzip2", "mcf"];
     let set = WorkloadSet::named(Suite::Spec2006, Scale::Test, &names);
     assert_eq!(set.len(), names.len());
@@ -83,15 +84,14 @@ fn every_stage_gate_skips_on_real_workloads() {
         for scheme in scheme_families() {
             let cfg = SystemConfig::micro2021();
             let mut machine = Machine::new(scheme, cfg, unit.programs.clone());
-            machine.run(cfg.max_cycles);
-            let (ticks, runs) = machine.core(0).stage_counts();
-            for (stage, r) in STAGE_NAMES.iter().zip(runs) {
-                assert!(
-                    r < ticks,
-                    "{name}/{}: the {stage} gate never skipped ({r} runs in {ticks} ticks)",
-                    scheme.name()
-                );
-            }
+            let result = machine.run(cfg.max_cycles);
+            let ticks = machine.core(0).ticks();
+            assert!(
+                ticks < result.cycles,
+                "{name}/{}: no cycle skipped ({ticks} ticks over {} cycles)",
+                scheme.name(),
+                result.cycles
+            );
         }
     }
 }
@@ -155,7 +155,9 @@ fn multicore_parsec_matches_lockstep() {
 }
 
 /// STT's taint delays are settled lazily by the skip path, so they are
-/// the stall counters most likely to drift across cores.
+/// the stall counters most likely to drift across cores. (The name
+/// predates the removal of per-stage gating; every tick now runs every
+/// stage, as the oracle's does.)
 #[test]
 fn multicore_stage_gating_matches_oracles() {
     parsec_unit0_matches_reference(Scheme::stt_spectre());
@@ -164,14 +166,11 @@ fn multicore_stage_gating_matches_oracles() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Property: for any program, under any scheme family, neither
-    /// cycle skipping nor stage gating is observable. Skipping must
-    /// change neither `MachineResult.cycles` nor any statistic,
-    /// including the stall counters the skip path has to replay
-    /// (strict-FU delays) and settles lazily (STT delays); running only
-    /// the stages whose pending-work predicate holds must match running
-    /// them all, so each predicate must equal its stage body's own entry
-    /// conditions.
+    /// Property: for any program, under any scheme family, cycle
+    /// skipping is not observable. It must change neither
+    /// `MachineResult.cycles` nor any statistic, including the stall
+    /// counters the skip path has to replay (strict-FU delays) and
+    /// settles lazily (STT delays).
     #[test]
     fn random_programs_match_lockstep(
         ops in proptest::collection::vec(any::<u8>(), 10..80),
